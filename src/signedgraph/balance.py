@@ -1,8 +1,11 @@
 """Balance testing, switching, Harary bipartitions, and balancing sets.
 
-Balance is decided by the linear-time switching algorithm (BFS tree, switch
-so the tree is all positive, inspect non-tree edges); the exponential
-circle-sign check lives only in the test suite.
+Balance is decided by the linear-time switching algorithm: one BFS of the
+links gives the switching potential zeta that makes the tree all positive
+(`core._potential`), and a component is balanced iff every link and loop is
+positive after switching by zeta and it carries no half edge.  The same
+potential gives the Harary bipartition and switching equivalence; the
+exponential circle-sign check lives only in the test suite.
 """
 
 from __future__ import annotations
@@ -11,14 +14,14 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .core import (
+    Edge,
     EdgeKind,
     SgError,
     SignedGraph,
-    components,
+    _potential,
+    delete_vertices,
     enumerate_circles,
     edge_set_sign,
-    spanning_forest,
-    tree_paths,
 )
 
 DEFAULT_BALANCING_CAP = 20
@@ -37,33 +40,14 @@ class BalancePartition:
 
 
 def balance_partition(g: SignedGraph, s=None) -> BalancePartition:
-    """Classify each component of (V, s) as balanced or not.
-
-    Per component: switch by the sign of the BFS-tree path from the root;
-    the component is balanced iff every non-tree ordinary edge becomes
-    positive and the component carries no half edge.  Isolated vertices
-    are balanced components.
-    """
-    ids = g.edge_ids if s is None else frozenset(s)
-    forest = spanning_forest(g, ids)
-    zeta = {v: info[2] for v, info in tree_paths(g, forest).items()}
-
-    bad_vertices = set()  # roots of unbalanced components, via union into comp map
-    comp_of = {}
-    comps = components(g, ids)
-    for i, comp in enumerate(comps):
-        for v in comp:
-            comp_of[v] = i
-    unbalanced = set()
-    for e in g.restricted(ids):
-        if e.kind is EdgeKind.HALF:
-            unbalanced.add(comp_of[e.ends[0]])
-        elif e.is_ordinary and e.id not in forest:
-            u, v = e.ends
-            if zeta[u] * e.sign * zeta[v] != 1:
-                unbalanced.add(comp_of[u])
-    pib = tuple(comp for i, comp in enumerate(comps) if i not in unbalanced)
-    v0 = frozenset(v for i, comp in enumerate(comps) if i in unbalanced for v in comp)
+    """Classify each component of (V, s) as balanced or not, from the
+    switching potential of s.  Isolated vertices are balanced components."""
+    _, root, unbalanced = _potential(g, s)
+    comps = {}
+    for v in range(g.n):
+        comps.setdefault(root[v], []).append(v)
+    pib = tuple(tuple(vs) for r, vs in comps.items() if r not in unbalanced)
+    v0 = frozenset(v for v in range(g.n) if root[v] in unbalanced)
     return BalancePartition(pib, v0)
 
 
@@ -73,16 +57,13 @@ def is_balanced(g: SignedGraph, s=None) -> bool:
 
 def harary_bipartition(g: SignedGraph):
     """If balanced: {V1, V2} with negative edges exactly crossing, the part
-    containing vertex 0 first.  If unbalanced: None."""
-    if not is_balanced(g):
+    containing vertex 0 first (vertex 0 is a root, so zeta(0) = +1).  If
+    unbalanced: None."""
+    zeta, _, unbalanced = _potential(g)
+    if unbalanced:
         return None
-    forest = spanning_forest(g)
-    zeta = {v: info[2] for v, info in tree_paths(g, forest).items()}
     v1 = frozenset(v for v in range(g.n) if zeta[v] == 1)
-    v2 = frozenset(range(g.n)) - v1
-    if 0 in v2:
-        v1, v2 = v2, v1
-    return (v1, v2)
+    return (v1, frozenset(range(g.n)) - v1)
 
 
 def switch(g: SignedGraph, zeta) -> SignedGraph:
@@ -125,15 +106,16 @@ def _same_underlying(g1: SignedGraph, g2: SignedGraph) -> bool:
 def switching_equivalent(g1: SignedGraph, g2: SignedGraph):
     """A switching function zeta with g1^zeta == g2, or None.
 
-    Built per component from a spanning tree: zeta(v) is the product of the
-    two tree-path signs, then verified against every edge.
+    zeta is the switching potential of the common underlying graph signed
+    by sigma1(e) sigma2(e), verified against every edge.
     """
     if not _same_underlying(g1, g2):
         raise SgError("graphs have different underlying graphs")
-    forest = spanning_forest(g1)
-    info1 = tree_paths(g1, forest)
-    info2 = tree_paths(g2, forest)
-    zeta = {v: info1[v][2] * info2[v][2] for v in range(g1.n)}
+    product = g1.with_edges(
+        Edge(e.id, e.kind, e.ends, e.sign * g2.edge(e.id).sign) if e.is_ordinary else e
+        for e in g1.edges
+    )
+    zeta = dict(enumerate(_potential(product)[0]))
     if switch(g1, zeta).edges == g2.edges:
         return zeta
     return None
@@ -161,17 +143,7 @@ def balancing_vertices(g: SignedGraph) -> frozenset:
     """Vertices v with g - v balanced although g is unbalanced."""
     if is_balanced(g):
         return frozenset()
-    out = set()
-    for v in range(g.n):
-        kept = [e for e in g.edges if v not in e.ends]
-        relabel = {w: (w if w < v else w - 1) for w in range(g.n) if w != v}
-        edges = [
-            type(e)(e.id, e.kind, tuple(relabel[w] for w in e.ends), e.sign)
-            for e in kept
-        ]
-        if is_balanced(SignedGraph(g.n - 1, edges)):
-            out.add(v)
-    return frozenset(out)
+    return frozenset(v for v in range(g.n) if is_balanced(delete_vertices(g, [v])))
 
 
 def min_balancing_set(g: SignedGraph, cap=DEFAULT_BALANCING_CAP) -> frozenset:

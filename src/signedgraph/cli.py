@@ -295,11 +295,16 @@ def cmd_chromatic(args):
         c = count_proper(g, args.k, zero_free=zf)
         _emit(args, {"count": c, "k": args.k}, [f"count: {c}"])
         return
-    p = {
-        "delcon": chromatic_poly_delcon,
-        "subset": chromatic_poly_subset,
-        "expansion": lambda gg, zero_free=False: chromatic_via_expansion(gg),
-    }[args.algorithm](g, zero_free=zf)
+    if args.algorithm == "expansion":
+        if zf:
+            raise SgError(
+                "--algorithm expansion computes chi only; "
+                "use --algorithm delcon or subset for chi* (--zero-free)"
+            )
+        p = chromatic_via_expansion(g)
+    else:
+        algorithm = {"delcon": chromatic_poly_delcon, "subset": chromatic_poly_subset}
+        p = algorithm[args.algorithm](g, zero_free=zf)
     chi, chi_star = chromatic_numbers(g)
     lines = [format_polynomial(p)]
     lines.append(f"chromatic-number: {chi}, zero-free: {chi_star}")

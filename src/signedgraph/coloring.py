@@ -11,8 +11,8 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations, product
 
-from .core import Edge, EdgeKind, SgError, SignedGraph, half, link, loop
-from .balance import balance_partition, is_balanced
+from .core import EdgeKind, SgError, SignedGraph, _find, delete_vertices, half, link, loop
+from .balance import balance_partition
 from .minors import contract_edge
 from .polynomial import IntPolynomial
 
@@ -138,19 +138,6 @@ def stable_vertex_sets(g: SignedGraph):
     return out
 
 
-def delete_vertices(g: SignedGraph, w) -> SignedGraph:
-    """Remove the vertices of w and every edge with an endpoint in w."""
-    w = frozenset(w)
-    keep = sorted(set(range(g.n)) - w)
-    relabel = {v: i for i, v in enumerate(keep)}
-    edges = [
-        Edge(e.id, e.kind, tuple(relabel[v] for v in e.ends), e.sign)
-        for e in g.edges
-        if not any(v in w for v in e.ends)
-    ]
-    return SignedGraph(len(keep), edges)
-
-
 def chromatic_via_expansion(g: SignedGraph) -> IntPolynomial:
     """chi(lambda) = sum over stable W of chi*_{g - W}(lambda - 1)."""
     total = IntPolynomial.zero()
@@ -210,17 +197,10 @@ def unsigned_flats(n, edge_list):
     for mask in range(1 << m):
         sub = [edges[i] for i in range(m) if mask >> i & 1]
         parent = list(range(n))
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
         for u, v in sub:
-            parent[find(u)] = find(v)
+            parent[_find(parent, u)] = _find(parent, v)
         closed = all(
-            mask >> i & 1 or find(edges[i][0]) != find(edges[i][1])
+            mask >> i & 1 or _find(parent, edges[i][0]) != _find(parent, edges[i][1])
             for i in range(m)
         )
         if closed:
@@ -232,20 +212,13 @@ def unsigned_contract(n, edge_list, flat_mask):
     """(n', edges') after contracting the edges selected by flat_mask."""
     edges = list(edge_list)
     parent = list(range(n))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
     for i, (u, v) in enumerate(edges):
         if flat_mask >> i & 1:
-            parent[find(u)] = find(v)
-    reps = sorted({find(v) for v in range(n)})
+            parent[_find(parent, u)] = _find(parent, v)
+    reps = sorted({_find(parent, v) for v in range(n)})
     idx = {r: i for i, r in enumerate(reps)}
     new_edges = [
-        (idx[find(u)], idx[find(v)])
+        (idx[_find(parent, u)], idx[_find(parent, v)])
         for i, (u, v) in enumerate(edges)
         if not flat_mask >> i & 1
     ]

@@ -115,7 +115,7 @@ class SignedGraph:
     def restricted(self, s):
         """The edges of this graph whose ids lie in s, in file order."""
         s = frozenset(s)
-        missing = s - self.edge_ids
+        missing = s - self._by_id.keys()
         if missing:
             raise SgError(f"unknown edge ids {sorted(missing)}")
         return tuple(e for e in self.edges if e.id in s)
@@ -140,6 +140,7 @@ def parse(text) -> SignedGraph:
     lines = text.splitlines()
     n = None
     edges = []
+    seen = set()
     saw_magic = False
 
     def err(lineno, msg):
@@ -196,8 +197,9 @@ def parse(text) -> SignedGraph:
             e = loose(fields[1])
         else:
             err(lineno, f"unknown directive {directive!r}")
-        if any(x.id == e.id for x in edges):
+        if e.id in seen:
             err(lineno, f"duplicate edge id {e.id!r}")
+        seen.add(e.id)
         edges.append(e)
 
     if not saw_magic:
@@ -226,27 +228,75 @@ def serialize(g: SignedGraph) -> bytes:
 # subgraph structure
 
 
+def _find(parent, x):
+    """Union-find root of x, halving the path on the way."""
+    while parent[x] != x:
+        parent[x] = parent[parent[x]]
+        x = parent[x]
+    return x
+
+
+def _potential(g: SignedGraph, s=None):
+    """Switching potential of (V, s) from one BFS over the links of s.
+
+    Returns (zeta, root, unbalanced).  zeta[v] in {+1, -1} makes every BFS
+    tree link positive; root[v] is the lowest vertex of v's component, which
+    gets zeta = +1; unbalanced holds the roots of components that carry a
+    half edge or a link or loop e with zeta(u) sigma(e) zeta(v) = -1.  On a
+    balanced component zeta is the unique such potential, whatever the tree.
+    """
+    edges = g.edges if s is None else g.restricted(s)
+    adj = [[] for _ in range(g.n)]
+    for e in edges:
+        if e.kind is EdgeKind.LINK:
+            u, v = e.ends
+            adj[u].append((v, e.sign))
+            adj[v].append((u, e.sign))
+    zeta = [0] * g.n
+    root = list(range(g.n))
+    for r in range(g.n):
+        if zeta[r]:
+            continue
+        zeta[r] = 1
+        queue = [r]
+        for v in queue:
+            for w, sign in adj[v]:
+                if not zeta[w]:
+                    zeta[w] = zeta[v] * sign
+                    root[w] = r
+                    queue.append(w)
+    unbalanced = set()
+    for e in edges:
+        if e.kind is EdgeKind.HALF:
+            unbalanced.add(root[e.ends[0]])
+        elif e.ends and zeta[e.ends[0]] * e.sign * zeta[e.ends[1]] == -1:
+            unbalanced.add(root[e.ends[0]])
+    return zeta, root, unbalanced
+
+
 def components(g: SignedGraph, s=None):
-    """Components of (V, s) as sorted vertex tuples.  Loose edges do not
-    connect anything and are not components; isolated vertices are."""
-    ids = g.edge_ids if s is None else frozenset(s)
-    parent = list(range(g.n))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for e in g.restricted(ids):
-        if len(e.ends) == 2:
-            a, b = find(e.ends[0]), find(e.ends[1])
-            if a != b:
-                parent[max(a, b)] = min(a, b)
+    """Components of (V, s) as sorted vertex tuples, ordered by lowest vertex.
+    Loose edges do not connect anything and are not components; isolated
+    vertices are."""
+    _, root, _ = _potential(g, s)
     groups = {}
     for v in range(g.n):
-        groups.setdefault(find(v), []).append(v)
-    return [tuple(sorted(vs)) for _, vs in sorted(groups.items())]
+        groups.setdefault(root[v], []).append(v)
+    return [tuple(vs) for vs in groups.values()]
+
+
+def delete_vertices(g: SignedGraph, w) -> SignedGraph:
+    """Remove the vertices of w and every edge with an endpoint in w; the
+    remaining vertices are renumbered in order."""
+    w = frozenset(w)
+    keep = [v for v in range(g.n) if v not in w]
+    relabel = {v: i for i, v in enumerate(keep)}
+    edges = [
+        Edge(e.id, e.kind, tuple(relabel[v] for v in e.ends), e.sign)
+        for e in g.edges
+        if not any(v in w for v in e.ends)
+    ]
+    return SignedGraph(len(keep), edges)
 
 
 def edge_set_sign(g: SignedGraph, s) -> int:
@@ -356,15 +406,8 @@ def _is_forest(g: SignedGraph, t):
     if any(e.kind is not EdgeKind.LINK for e in edges):
         return False
     parent = list(range(g.n))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
     for e in edges:
-        a, b = find(e.ends[0]), find(e.ends[1])
+        a, b = _find(parent, e.ends[0]), _find(parent, e.ends[1])
         if a == b:
             return False
         parent[max(a, b)] = min(a, b)

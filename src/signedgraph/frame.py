@@ -1,7 +1,10 @@
 """Frame circuits, balance-closure and closure, closed-set lattice, rank.
 
 Half edges are treated exactly as negative loops throughout: a "negative
-circle" in a handcuff may be a half edge.
+circle" in a handcuff may be a half edge.  Rank and closure come from the
+switching potential of S (`core._potential`), so both are linear in n + m
+and need no circle cap; `balance_closure` and `closure_by_circuits` are the
+definitional circle- and circuit-based routes kept to cross-check them.
 """
 
 from __future__ import annotations
@@ -13,10 +16,11 @@ from .core import (
     EdgeKind,
     SgError,
     SignedGraph,
+    _potential,
     edge_set_sign,
     enumerate_circles,
 )
-from .balance import balance_partition
+from .balance import balance_partition, negative_circle_vertex_sets
 
 
 @dataclass(frozen=True)
@@ -36,19 +40,6 @@ class FrameCircuit:
         for c in self.circles:
             out |= c
         return frozenset(out)
-
-
-def _negative_circles(g: SignedGraph, cap):
-    """(edge set, vertex set) of every negative circle; half edges included."""
-    out = []
-    for c in enumerate_circles(g, cap=cap):
-        if edge_set_sign(g, c) == -1:
-            verts = frozenset(v for eid in c for v in g.edge(eid).ends)
-            out.append((c, verts))
-    for e in g.edges:
-        if e.kind is EdgeKind.HALF:
-            out.append((frozenset([e.id]), frozenset(e.ends)))
-    return out
 
 
 def _connecting_paths(g: SignedGraph, vs1, vs2, forbidden_edges):
@@ -93,7 +84,7 @@ def enumerate_frame_circuits(g: SignedGraph, n_cap=10, edge_cap=20):
             fc = FrameCircuit("loose_edge", (frozenset([e.id]),))
             found[fc.edge_set] = fc
 
-    negs = _negative_circles(g, cap=edge_cap)
+    negs = negative_circle_vertex_sets(g, cap=edge_cap)
     for (c1, vs1), (c2, vs2) in combinations(negs, 2):
         if c1 & c2:
             continue
@@ -139,26 +130,19 @@ def balance_closure(g: SignedGraph, s, cap=20) -> frozenset:
     return frozenset(out)
 
 
-def closure(g: SignedGraph, s, cap=20) -> frozenset:
-    """clos(S) = (E : V0(S)) + bcl of each balanced component of S + loose edges."""
-    s = frozenset(s)
-    g.restricted(s)
-    part = balance_partition(g, s)
-    out = set(_loose_ids(g))
+def closure(g: SignedGraph, s) -> frozenset:
+    """clos(S): loose edges, every edge with all its ends in V0(S), and every
+    link or loop inside one balanced component of S that is positive after
+    switching by the potential of S (that is, bcl of the component)."""
+    zeta, root, unbalanced = _potential(g, s)
+    out = set()
     for e in g.edges:
-        if e.ends and all(v in part.v0 for v in e.ends):
+        if not e.ends or all(root[v] in unbalanced for v in e.ends):
             out.add(e.id)
-    comp_of = {}
-    for i, comp in enumerate(part.pib):
-        for v in comp:
-            comp_of[v] = i
-    for i, comp in enumerate(part.pib):
-        si = frozenset(
-            eid
-            for eid in s
-            if g.edge(eid).ends and all(comp_of.get(v) == i for v in g.edge(eid).ends)
-        )
-        out |= balance_closure(g, si, cap=cap)
+        elif e.is_ordinary:
+            u, v = e.ends
+            if root[u] == root[v] and zeta[u] * e.sign * zeta[v] == 1:
+                out.add(e.id)
     return frozenset(out)
 
 

@@ -10,8 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import Edge, EdgeKind, SgError, SignedGraph
-from .balance import balance_partition, switch
+from .core import Edge, EdgeKind, SignedGraph, _potential
+from .balance import switch
 
 
 @dataclass(frozen=True)
@@ -94,23 +94,12 @@ def contract_set(g: SignedGraph, s):
     (canonical switching makes each all positive); unbalanced-component
     vertices vanish and incident outside edges lose those endpoints."""
     s = frozenset(s)
-    g.restricted(s)
-    part = balance_partition(g, s)
+    zeta, root, unbalanced = _potential(g, s)
+    switched = switch(g, zeta)  # zeta on unbalanced components is irrelevant
 
-    # canonical switching: per balanced component, all tree paths positive
-    from .core import spanning_forest, tree_paths
-
-    forest = spanning_forest(g, s)
-    zeta = {v: info[2] for v, info in tree_paths(g, forest).items()}
-    for v in part.v0:
-        zeta[v] = 1  # irrelevant; these vertices vanish
-    switched = switch(g, zeta)
-
-    blocks = sorted(part.pib, key=min)
-    vmap = {v: None for v in part.v0}
-    for idx, block in enumerate(blocks):
-        for v in block:
-            vmap[v] = idx
+    roots = sorted(set(root) - unbalanced)
+    index = {r: i for i, r in enumerate(roots)}
+    vmap = {v: index.get(root[v]) for v in range(g.n)}
     rest = [e for e in switched.edges if e.id not in s]
     trace = MinorTrace(frozenset(), s, vmap)
-    return _relabelled(len(blocks), rest, vmap), trace
+    return _relabelled(len(roots), rest, vmap), trace

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from itertools import permutations, product
 
 from .core import EdgeKind, SgError, SignedGraph
-from .balance import balance_partition
+from .coloring import chromatic_poly_subset
 from .frame import enumerate_frame_circuits
 from .polynomial import IntPolynomial
 
@@ -148,16 +148,8 @@ def arrangement(g: SignedGraph):
 def characteristic_polynomial(g: SignedGraph, edge_cap=20) -> IntPolynomial:
     """Subset expansion: sum over S of (-1)^|S| lambda^{b(S)}.
 
-    Equals the chromatic polynomial of the graph."""
-    ids = sorted(g.edge_ids)
-    if len(ids) > edge_cap:
-        raise SgError(f"subset-expansion cap exceeded ({len(ids)} > {edge_cap})")
-    coeffs = [0] * (g.n + 1)
-    for mask in range(1 << len(ids)):
-        s = frozenset(ids[i] for i in range(len(ids)) if mask >> i & 1)
-        sign = -1 if bin(mask).count("1") % 2 else 1
-        coeffs[balance_partition(g, s).b] += sign
-    return IntPolynomial(coeffs)
+    Equals the chromatic polynomial of the graph, and is computed by it."""
+    return chromatic_poly_subset(g, edge_cap=edge_cap)
 
 
 @dataclass(frozen=True)

@@ -16,6 +16,14 @@ from signedgraph import (
 )
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
+
+def cli_env():
+    """Environment for `python -m signedgraph.cli` subprocesses: a random
+    hash seed, and this checkout's src/ first on the import path."""
+    path = os.pathsep.join(p for p in (SRC, os.environ.get("PYTHONPATH")) if p)
+    return dict(os.environ, PYTHONHASHSEED="random", PYTHONPATH=path)
 
 
 def fixture_path(name):

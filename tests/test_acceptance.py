@@ -5,7 +5,6 @@ as they go.  Everything is seeded and deterministic.
 """
 
 import math
-import os
 import subprocess
 import sys
 from contextlib import contextmanager
@@ -62,7 +61,7 @@ from signedgraph import (
     IntPolynomial,
 )
 from signedgraph.coloring import complement_edges, max_matching_size
-from conftest import balance_oracle, fixture_path, random_graph, seeded
+from conftest import balance_oracle, cli_env, fixture_path, random_graph, seeded
 
 SIGMA4_PATH = fixture_path("sigma4.sg")
 
@@ -429,7 +428,7 @@ def test_criterion_12_cli_determinism():
                 r = subprocess.run(
                     [sys.executable, "-m", "signedgraph.cli", *argv, "--threads", threads],
                     capture_output=True,
-                    env=dict(os.environ, PYTHONHASHSEED="random"),
+                    env=cli_env(),
                 )
                 assert r.returncode == 0, (argv, r.stderr)
                 outs.append(r.stdout)

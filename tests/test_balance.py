@@ -1,12 +1,14 @@
 import pytest
 
 from signedgraph import (
+    Edge,
     SgError,
     SignedGraph,
     balance_partition,
     balancing_vertices,
     blocks,
     classify_balancing_edges,
+    enumerate_circles,
     half,
     harary_bipartition,
     has_two_disjoint_negative_circles,
@@ -95,6 +97,59 @@ def test_balance_random_vs_oracle():
     for _ in range(120):
         g = random_graph(rng, n_max=6, m_max=10)
         assert is_balanced(g) == balance_oracle(g)
+
+
+def _components(g, s):
+    """Vertex sets of the components of (V, s), by merging sets per edge."""
+    comp = [frozenset([v]) for v in range(g.n)]
+    for eid in s:
+        ends = g.edge(eid).ends
+        if len(ends) == 2:
+            merged = comp[ends[0]] | comp[ends[1]]
+            for v in merged:
+                comp[v] = merged
+    return sorted(set(comp), key=min)
+
+
+def test_balance_partition_random_subsets_vs_oracle():
+    rng = seeded(102)
+    for _ in range(300):
+        g = random_graph(rng, n_max=8, m_max=14)
+        ids = sorted(g.edge_ids)
+        s = frozenset(rng.sample(ids, rng.randint(0, len(ids))))
+        pib, v0 = [], set()
+        for comp in _components(g, s):
+            inside = [eid for eid in s if g.edge(eid).ends and g.edge(eid).ends[0] in comp]
+            if balance_oracle(g, inside):
+                pib.append(tuple(sorted(comp)))
+            else:
+                v0 |= comp
+        part = balance_partition(g, s)
+        assert part.pib == tuple(pib)
+        assert part.v0 == frozenset(v0)
+
+
+def test_switching_equivalent_recovers_planted_potential():
+    rng = seeded(103)
+    for _ in range(200):
+        g = random_graph(rng, n_max=7, m_max=12)
+        planted = {v: rng.choice([1, -1]) for v in range(g.n)}
+        switched = switch(g, planted)
+        # normalised to +1 at the lowest vertex of each component
+        expected = {}
+        for comp in _components(g, g.edge_ids):
+            low = min(comp)
+            for v in comp:
+                expected[v] = planted[v] * planted[low]
+        assert switching_equivalent(g, switched) == expected
+        circles = enumerate_circles(g)
+        if circles:
+            flip = sorted(circles[rng.randrange(len(circles))])[0]
+            broken = switched.with_edges(
+                Edge(e.id, e.kind, e.ends, -e.sign) if e.id == flip else e
+                for e in switched.edges
+            )
+            assert switching_equivalent(g, broken) is None
 
 
 def test_partition_b_counts_components():

@@ -1,12 +1,11 @@
 import json
-import os
 import subprocess
 import sys
 
 import pytest
 
 from signedgraph.cli import build_parser, run
-from conftest import fixture_path
+from conftest import cli_env, fixture_path
 
 SIGMA4 = str(fixture_path("sigma4.sg"))
 
@@ -119,6 +118,14 @@ def test_exit_codes(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_chromatic_expansion_rejects_zero_free(capsys):
+    assert run(["chromatic", SIGMA4, "--algorithm", "expansion", "--zero-free"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "expansion computes chi only" in captured.err
+    assert "delcon" in captured.err and "subset" in captured.err
+
+
 def test_matrix_tree_output(capsys):
     assert run(["matrix-tree", SIGMA4]) == 0
     out = capsys.readouterr().out
@@ -155,8 +162,7 @@ def run_subprocess(argv, threads=None):
     cmd = [sys.executable, "-m", "signedgraph.cli", *argv]
     if threads is not None:
         cmd += ["--threads", str(threads)]
-    env = dict(os.environ, PYTHONHASHSEED="random")
-    return subprocess.run(cmd, capture_output=True, env=env)
+    return subprocess.run(cmd, capture_output=True, env=cli_env())
 
 
 def test_byte_identical_across_runs_and_threads(tmp_path):

@@ -152,6 +152,36 @@ def test_closure_equals_circuit_closure_exhaustive():
                 assert closure(g, s) == closure_by_circuits(g, s)
 
 
+def test_closure_equals_circuit_closure_random():
+    # beyond the exhaustive sizes above: large random subsets of graphs
+    # with 8 to 14 edges
+    rng = seeded(44)
+    graphs = 0
+    while graphs < 40:
+        g = random_graph(rng, n_max=8, m_max=14)
+        if len(g.edges) < 8:
+            continue
+        graphs += 1
+        ids = sorted(g.edge_ids)
+        for _ in range(4):
+            s = frozenset(rng.sample(ids, rng.randint(len(ids) // 2, len(ids))))
+            assert closure(g, s) == closure_by_circuits(g, s)
+
+
+def test_closure_of_long_path_closes_the_cycle():
+    def cycle(negatives):
+        return SignedGraph(
+            30, [link(f"e{i}", i, (i + 1) % 30, -1 if i in negatives else 1) for i in range(30)]
+        )
+
+    path = frozenset(f"e{i}" for i in range(29))
+    g = cycle({2, 7, 20, 29})
+    assert rank(g, path) == 29
+    assert closure(g, path) == g.edge_ids
+    # with a negative cycle the closing edge is not spanned
+    assert closure(cycle({2, 7, 20}), path) == path
+
+
 def test_closure_laws():
     rng = seeded(43)
     for _ in range(10):
