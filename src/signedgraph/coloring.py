@@ -4,16 +4,18 @@ algorithms, chromatic numbers, and the catalog of derived-graph families.
 Colors live in {-k..-1, 0, 1..k}; the two polynomials are evaluated at
 lambda = 2k+1 (with zero) and lambda = 2k (zero-free).  Half-integer
 substitutions in the catalog closed forms stay in exact rational arithmetic.
+Deletion-contraction recurses on sets of integer constraint triples rather
+than on graphs, so parallel duplicate constraints collapse.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations, product, zip_longest
+from math import comb
 
 from .core import EdgeKind, SgError, SignedGraph, _find, delete_vertices, half, link, loop
 from .balance import balance_partition
-from .minors import contract_edge
 from .polynomial import IntPolynomial
 
 DEFAULT_COUNT_CAP = 2_000_000
@@ -49,53 +51,83 @@ def count_proper(g: SignedGraph, k, zero_free=False, cap=DEFAULT_COUNT_CAP) -> i
 
 # ---------------------------------------------------------------------------
 # deletion-contraction
+#
+# The recursion runs on (n, constraints), where each constraint is an int
+# triple: (u, v, sigma) with u < v says gamma(v) != sigma * gamma(u), and
+# (v, v, 0) says gamma(v) != 0.  Half edges and negative loops both give
+# (v, v, 0), which is vacuous for the zero-free polynomial and dropped there;
+# parallel duplicates collapse in the set.  Results are ascending coefficient
+# tuples.
 
 
-def _canonical_key(g: SignedGraph):
-    return (g.n, tuple(sorted((e.kind.value, e.ends, e.sign) for e in g.edges)))
+def _constraints(g: SignedGraph, zero_free):
+    """The constraint set of g, or None if g has a positive loop or a loose
+    edge (then no coloration is proper)."""
+    out = set()
+    for e in g.edges:
+        if e.kind is EdgeKind.LINK:
+            u, v = sorted(e.ends)
+            out.add((u, v, e.sign))
+        elif e.kind is EdgeKind.HALF or (e.kind is EdgeKind.LOOP and e.sign == -1):
+            if not zero_free:
+                out.add((e.ends[0], e.ends[0], 0))
+        else:
+            return None
+    return frozenset(out)
 
 
-def _delcon(g: SignedGraph, zero_free, memo) -> IntPolynomial:
-    key = _canonical_key(g)
-    hit = memo.get(key)
+def _contract(n, cons, e, zero_free):
+    """Contract the link e = (u, v, sigma), u < v: v maps to u, the other
+    constraints at v have their sign multiplied by sigma, and higher vertices
+    shift down by one.  A link parallel to e has the opposite sign (an equal
+    one is e itself), so it becomes a negative loop, that is (u, u, 0)."""
+    u, v, sigma = e
+    out = set()
+    for a, b, s in cons:
+        if v in (a, b):
+            s *= sigma
+        a = u if a == v else a - (a > v)
+        b = u if b == v else b - (b > v)
+        if a != b:
+            out.add((min(a, b), max(a, b), s))
+        elif not zero_free:
+            out.add((a, a, 0))
+    return n - 1, frozenset(out)
+
+
+def _link_order(c):
+    """Links before (v, v, 0); among links, the highest endpoints first, so
+    that contraction relabels as few vertices as possible."""
+    u, v, s = c
+    return s != 0, v, u, s
+
+
+def _delcon(state, zero_free, memo):
+    """chi(state) = chi(state - e) - chi(state / e) on a link e; with no links
+    left, lambda^(n-z) (lambda-1)^z for z vertices barred from color 0."""
+    hit = memo.get(state)
     if hit is not None:
         return hit
-
-    result = None
-    for e in g.edges:
-        if e.kind is EdgeKind.LOOSE or (e.kind is EdgeKind.LOOP and e.sign == 1):
-            result = IntPolynomial.zero()
-            break
-    if result is None:
-        e = next((e for e in g.edges if e.kind is EdgeKind.LINK), None)
-        if e is not None:
-            minus = _delcon(g.with_edges(x for x in g.edges if x.id != e.id), zero_free, memo)
-            contracted, _ = contract_edge(g, e.id)
-            result = minus - _delcon(contracted, zero_free, memo)
-        else:
-            # only unbalanced edges (half edges / negative loops) remain
-            unb = next((e for e in g.edges if e.ends), None)
-            if unb is None:
-                result = IntPolynomial.monomial(g.n)
-            elif zero_free:
-                # zero-free: an unbalanced edge is a vacuous constraint
-                result = _delcon(
-                    g.with_edges(x for x in g.edges if x.id != unb.id), zero_free, memo
-                )
-            else:
-                minus = _delcon(
-                    g.with_edges(x for x in g.edges if x.id != unb.id), zero_free, memo
-                )
-                contracted, _ = contract_edge(g, unb.id)
-                result = minus - _delcon(contracted, zero_free, memo)
-
-    memo[key] = result
+    n, cons = state
+    e = max(cons, key=_link_order, default=None)
+    if e is None or not e[2]:
+        z = len(cons)
+        result = (0,) * (n - z) + tuple((-1) ** (z - j) * comb(z, j) for j in range(z + 1))
+    else:
+        rest = cons - {e}
+        plus = _delcon((n, rest), zero_free, memo)
+        minus = _delcon(_contract(n, rest, e, zero_free), zero_free, memo)
+        result = tuple(a - b for a, b in zip_longest(plus, minus, fillvalue=0))
+    memo[state] = result
     return result
 
 
 def chromatic_poly_delcon(g: SignedGraph, zero_free=False) -> IntPolynomial:
     """Chromatic polynomial by deletion-contraction with memoization."""
-    return _delcon(g, zero_free, {})
+    cons = _constraints(g, zero_free)
+    if cons is None:
+        return IntPolynomial.zero()
+    return IntPolynomial(_delcon((g.n, cons), zero_free, {}))
 
 
 # ---------------------------------------------------------------------------
@@ -139,12 +171,12 @@ def stable_vertex_sets(g: SignedGraph):
 
 
 def chromatic_via_expansion(g: SignedGraph) -> IntPolynomial:
-    """chi(lambda) = sum over stable W of chi*_{g - W}(lambda - 1)."""
+    """chi(lambda) = sum over stable W of chi*_{g - W}(lambda - 1); the sum
+    is taken first and shifted once."""
     total = IntPolynomial.zero()
     for w in stable_vertex_sets(g):
-        star = chromatic_poly_delcon(delete_vertices(g, w), zero_free=True)
-        total = total + star.compose_affine(1, -1)
-    return total.as_int()
+        total = total + chromatic_poly_delcon(delete_vertices(g, w), zero_free=True)
+    return total.compose_affine(1, -1).as_int()
 
 
 # ---------------------------------------------------------------------------

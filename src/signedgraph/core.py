@@ -136,7 +136,12 @@ class SignedGraph:
 def parse(text) -> SignedGraph:
     """Parse the line-oriented `sg 1` text format (1-based vertices)."""
     if isinstance(text, bytes):
-        text = text.decode("utf-8")
+        try:
+            text = text.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            # the "." stands for the bad byte, so its own line is counted
+            lineno = len((text[: exc.start].decode("utf-8") + ".").splitlines())
+            raise SgError(f"line {lineno}: input is not valid UTF-8") from None
     lines = text.splitlines()
     n = None
     edges = []
@@ -160,7 +165,7 @@ def parse(text) -> SignedGraph:
         if directive == "n":
             if n is not None:
                 err(lineno, "duplicate 'n' directive")
-            if len(fields) != 2 or not fields[1].isdigit():
+            if len(fields) != 2 or not fields[1].isdecimal():
                 err(lineno, "expected 'n <order>'")
             n = int(fields[1])
             continue

@@ -3,6 +3,7 @@ from itertools import product
 import pytest
 
 from signedgraph import (
+    EdgeKind,
     SgError,
     SignedGraph,
     chromatic_numbers,
@@ -12,10 +13,13 @@ from signedgraph import (
     catalog,
     characteristic_polynomial,
     color_pair_capacity,
+    contract_edge,
     count_proper,
+    delete_edges,
     half,
     link,
     loop,
+    loose,
     max_used_pairs_bruteforce,
     plus_minus_kn,
     switch_set,
@@ -194,3 +198,110 @@ def test_color_pair_capacity_oracle():
             cur = max_used_pairs_bruteforce(n, edge_list, kk)
             assert prev <= cur <= kk
             prev = cur
+
+
+def kernel_graph(rng):
+    """Seeded random graph with n <= 6 that mixes in every case the
+    deletion-contraction kernel collapses or short-cuts: parallel links of
+    equal and of opposite sign, repeated half edges and negative loops at one
+    vertex, positive loops and loose edges."""
+    n = rng.randint(1, 6)
+    edges = []
+    for i in range(rng.randint(0, 9)):
+        eid = f"e{i}"
+        links = [e for e in edges if e.kind is EdgeKind.LINK]
+        roll = rng.random()
+        if roll < 0.15 and links:
+            twin = rng.choice(links)
+            edges.append(link(eid, *twin.ends[::-1], rng.choice([twin.sign, -twin.sign])))
+        elif roll < 0.60 and n >= 2:
+            u, v = rng.sample(range(n), 2)
+            edges.append(link(eid, u, v, rng.choice([1, -1])))
+        elif roll < 0.78:
+            edges.append(half(eid, rng.randrange(n)))
+        elif roll < 0.92:
+            edges.append(loop(eid, rng.randrange(n), -1))
+        elif roll < 0.96:
+            edges.append(loop(eid, rng.randrange(n), 1))
+        else:
+            edges.append(loose(eid))
+    return SignedGraph(n, edges)
+
+
+def kernel_cases(g):
+    """The collapse and short-cut cases present in g."""
+    cases = set()
+    links = {}
+    for e in g.edges:
+        if e.kind is EdgeKind.LINK:
+            links.setdefault(tuple(sorted(e.ends)), []).append(e.sign)
+    for signs in links.values():
+        if len(signs) > len(set(signs)):
+            cases.add("parallel equal")
+        if len(set(signs)) == 2:
+            cases.add("parallel opposite")
+    for v in range(g.n):
+        kinds = [
+            e.kind for e in g.edges
+            if e.ends == (v,) or (e.kind is EdgeKind.LOOP and e.ends[0] == v and e.sign == -1)
+        ]
+        if kinds.count(EdgeKind.HALF) >= 2:
+            cases.add("two half edges")
+        if EdgeKind.HALF in kinds and EdgeKind.LOOP in kinds:
+            cases.add("half edge and negative loop")
+    if any(e.kind is EdgeKind.LOOP and e.sign == 1 for e in g.edges):
+        cases.add("positive loop")
+    if any(e.kind is EdgeKind.LOOSE for e in g.edges):
+        cases.add("loose edge")
+    return cases
+
+
+def test_delcon_agrees_with_every_route_on_random_graphs():
+    rng = seeded(404)
+    seen = set()
+    for _ in range(80):
+        g = kernel_graph(rng)
+        seen |= kernel_cases(g)
+        chi = chromatic_poly_delcon(g)
+        star = chromatic_poly_delcon(g, zero_free=True)
+        assert chi == chromatic_poly_subset(g) == chromatic_via_expansion(g)
+        assert star == chromatic_poly_subset(g, zero_free=True)
+        for k in (0, 1, 2):
+            assert chi(2 * k + 1) == count_proper(g, k)
+            assert star(2 * k) == count_proper(g, k, zero_free=True)
+    assert seen == {
+        "parallel equal", "parallel opposite", "two half edges",
+        "half edge and negative loop", "positive loop", "loose edge",
+    }
+
+
+def test_deletion_contraction_identity_with_contract_edge():
+    # chi(G) = chi(G - e) - chi(G / e), with G / e from minors.contract_edge,
+    # for every link, half edge and negative loop; chi* only on links, where
+    # the zero-free identity holds too
+    rng = seeded(405)
+    checked = set()
+    for _ in range(60):
+        g = kernel_graph(rng)
+        for e in g.edges:
+            if e.kind is EdgeKind.LOOSE or (e.kind is EdgeKind.LOOP and e.sign == 1):
+                continue
+            minus = delete_edges(g, [e.id])
+            contracted, _ = contract_edge(g, e.id)
+            assert chromatic_poly_delcon(g) == (
+                chromatic_poly_delcon(minus) - chromatic_poly_delcon(contracted)
+            )
+            if e.kind is EdgeKind.LINK:
+                assert chromatic_poly_delcon(g, zero_free=True) == (
+                    chromatic_poly_delcon(minus, zero_free=True)
+                    - chromatic_poly_delcon(contracted, zero_free=True)
+                )
+            checked.add(e.kind)
+    assert checked == {EdgeKind.LINK, EdgeKind.HALF, EdgeKind.LOOP}
+
+
+def test_pm_kn_closed_forms_up_to_8():
+    for n in range(1, 9):
+        g, chi, star = catalog("pm_kn", n=n)
+        assert chromatic_poly_delcon(g) == chi
+        assert chromatic_poly_delcon(g, zero_free=True) == star

@@ -56,6 +56,14 @@ def test_parse_errors_name_the_line():
         parse("sg 1\nedge a 1 2 +\nn 2\n")
 
 
+def test_parse_raises_only_sgerror():
+    # '²'.isdigit() is true, but int('²') fails
+    with pytest.raises(SgError, match="line 2"):
+        parse("sg 1\nn ²\n")
+    with pytest.raises(SgError, match="line 3: input is not valid UTF-8"):
+        parse(b"sg 1\nn 2\nedge \xff 1 2 +\n")
+
+
 def test_parse_comments_and_loops():
     g = parse("sg 1\n# comment\nn 2\nedge a 1 1 -  # a negative loop\nloose x\n")
     assert g.edge("a").kind is EdgeKind.LOOP
