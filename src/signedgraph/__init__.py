@@ -103,7 +103,6 @@ from .linegraph import (
     harary_norman,
     line_adjacency_identity,
     line_graph,
-    line_graph_class,
     negate,
     reduced_line_graph,
     switching_isomorphic,

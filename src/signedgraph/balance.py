@@ -18,6 +18,7 @@ from .core import (
     EdgeKind,
     SgError,
     SignedGraph,
+    _link_adjacency,
     _potential,
     delete_vertices,
     enumerate_circles,
@@ -187,59 +188,56 @@ def blocks(g: SignedGraph):
     """Blocks as edge sets (plus isolated vertices as ({v}, empty)).
 
     Loops and half edges are single-edge blocks at their vertex; loose edges
-    belong to no block.  Links are grouped by the standard cut-vertex DFS.
+    belong to no block.  Links are grouped by the standard cut-vertex DFS,
+    run with an explicit stack so that long paths need no deep recursion.
     """
-    adj = {}
-    for e in g.edges:
-        if e.kind is EdgeKind.LINK:
-            u, v = e.ends
-            adj.setdefault(u, []).append((e.id, v))
-            adj.setdefault(v, []).append((e.id, u))
+    adj = _link_adjacency(g.n, g.edges)
+    out = [
+        (frozenset(e.ends), frozenset([e.id]))
+        for e in g.edges
+        if e.kind in (EdgeKind.LOOP, EdgeKind.HALF)
+    ]
+    at_loop_or_half = {v for vs, _ in out for v in vs}
 
-    out = []
-    for e in g.edges:
-        if e.kind in (EdgeKind.LOOP, EdgeKind.HALF):
-            out.append((frozenset(e.ends), frozenset([e.id])))
-
-    disc = {}
-    low = {}
-    stack = []
-    counter = [0]
-
-    def dfs(v, parent_edge):
-        disc[v] = low[v] = counter[0]
-        counter[0] += 1
-        for eid, w in adj.get(v, ()):
-            if eid == parent_edge:
-                continue
-            if w not in disc:
-                stack.append(eid)
-                dfs(w, eid)
-                low[v] = min(low[v], low[w])
-                if low[w] >= disc[v]:
-                    block = set()
+    disc = [-1] * g.n
+    low = [0] * g.n
+    counter = 0
+    stack = []  # links of the blocks not yet closed
+    for r in range(g.n):
+        if disc[r] >= 0:
+            continue
+        disc[r] = low[r] = counter
+        counter += 1
+        frames = [(r, None, iter(adj[r]))]  # (vertex, link from parent, links left)
+        while frames:
+            v, via, todo = frames[-1]
+            for e, w in todo:
+                if e is via:
+                    continue
+                if disc[w] < 0:
+                    stack.append(e)
+                    disc[w] = low[w] = counter
+                    counter += 1
+                    frames.append((w, e, iter(adj[w])))
+                    break
+                if disc[w] < disc[v]:
+                    stack.append(e)
+                    low[v] = min(low[v], disc[w])
+            else:
+                frames.pop()
+                if not frames:
+                    continue
+                u = frames[-1][0]
+                low[u] = min(low[u], low[v])
+                if low[v] >= disc[u]:  # u separates the block entered by via
+                    block = []
                     while True:
                         top = stack.pop()
-                        block.add(top)
-                        if top == eid:
+                        block.append(top)
+                        if top is via:
                             break
-                    verts = frozenset(x for b in block for x in g.edge(b).ends)
-                    out.append((verts, frozenset(block)))
-            elif disc[w] < disc[v]:
-                stack.append(eid)
-                low[v] = min(low[v], disc[w])
-
-    import sys
-
-    old = sys.getrecursionlimit()
-    sys.setrecursionlimit(max(old, 10 * g.n + 100))
-    try:
-        for v in range(g.n):
-            if v not in disc:
-                dfs(v, None)
-                if not adj.get(v):
-                    if not any(v in vs for vs, _ in out):
-                        out.append((frozenset([v]), frozenset()))
-    finally:
-        sys.setrecursionlimit(old)
+                    verts = frozenset(x for b in block for x in b.ends)
+                    out.append((verts, frozenset(b.id for b in block)))
+        if not adj[r] and r not in at_loop_or_half:
+            out.append((frozenset([r]), frozenset()))
     return out

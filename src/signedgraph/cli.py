@@ -72,7 +72,10 @@ def _load(args) -> SignedGraph:
     cap = args.max_edges
     if cap is None:
         env = os.environ.get("SGTOOL_MAX_EDGES")
-        cap = int(env) if env else DEFAULT_MAX_EDGES
+        try:
+            cap = int(env) if env else DEFAULT_MAX_EDGES
+        except ValueError:
+            raise SgError(f"SGTOOL_MAX_EDGES must be an integer, got {env!r}") from None
     else:
         print(f"warning: edge cap overridden to {cap}", file=sys.stderr)
     if len(g.edges) > cap:
@@ -416,7 +419,10 @@ def cmd_roots(args):
 
 def cmd_gramian(args):
     g = _load(args)
-    nu = Fraction(args.nu)
+    try:
+        nu = Fraction(args.nu)
+    except (ValueError, ZeroDivisionError):
+        raise SgError(f"--nu must be a rational number, got {args.nu!r}") from None
     rep = construct_gramian(g, nu, anti=args.anti)
     if rep is None:
         _emit(args, {"exists": False}, ["exists: false"])
@@ -504,9 +510,6 @@ def run(argv=None) -> int:
     try:
         args.fn(args)
     except SgError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (ValueError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return 0

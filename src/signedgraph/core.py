@@ -8,7 +8,6 @@ function, so concurrent use is safe.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable, Optional
@@ -241,6 +240,41 @@ def _find(parent, x):
     return x
 
 
+def _link_adjacency(n, edges):
+    """adj[v] lists (link, other end) for each link of edges at v, in the
+    order of edges."""
+    adj = [[] for _ in range(n)]
+    for e in edges:
+        if e.kind is EdgeKind.LINK:
+            u, v = e.ends
+            adj[u].append((e, v))
+            adj[v].append((e, u))
+    return adj
+
+
+def _bfs_forest(adj):
+    """BFS forest of a link adjacency, one tree per component rooted at its
+    lowest vertex and grown in adjacency order.  Returns (parent, root,
+    depth): parent[v] is (link to the parent, parent vertex), None at a root."""
+    n = len(adj)
+    parent = [None] * n
+    root = [-1] * n
+    depth = [0] * n
+    for r in range(n):
+        if root[r] >= 0:
+            continue
+        root[r] = r
+        queue = [r]
+        for v in queue:
+            for e, w in adj[v]:
+                if root[w] < 0:
+                    root[w] = r
+                    parent[w] = (e, v)
+                    depth[w] = depth[v] + 1
+                    queue.append(w)
+    return parent, root, depth
+
+
 def _potential(g: SignedGraph, s=None):
     """Switching potential of (V, s) from one BFS over the links of s.
 
@@ -290,18 +324,30 @@ def components(g: SignedGraph, s=None):
     return [tuple(vs) for vs in groups.values()]
 
 
+def _relabel(n, edges, vmap):
+    """The graph of order n on edges whose ends move by vmap (old vertex ->
+    new vertex, or None to drop that end).  A link whose ends meet becomes a
+    loop; an ordinary or half edge that loses ends becomes a half or loose
+    edge."""
+    out = []
+    for e in edges:
+        ends = tuple(vmap[v] for v in e.ends if vmap[v] is not None)
+        if len(ends) < len(e.ends):
+            kind = EdgeKind.HALF if ends else EdgeKind.LOOSE
+            out.append(Edge(e.id, kind, ends))
+        else:
+            kind = EdgeKind.LOOP if e.kind is EdgeKind.LINK and ends[0] == ends[1] else e.kind
+            out.append(Edge(e.id, kind, ends, e.sign))
+    return SignedGraph(n, out)
+
+
 def delete_vertices(g: SignedGraph, w) -> SignedGraph:
     """Remove the vertices of w and every edge with an endpoint in w; the
     remaining vertices are renumbered in order."""
     w = frozenset(w)
     keep = [v for v in range(g.n) if v not in w]
     relabel = {v: i for i, v in enumerate(keep)}
-    edges = [
-        Edge(e.id, e.kind, tuple(relabel[v] for v in e.ends), e.sign)
-        for e in g.edges
-        if not any(v in w for v in e.ends)
-    ]
-    return SignedGraph(len(keep), edges)
+    return _relabel(len(keep), (e for e in g.edges if w.isdisjoint(e.ends)), relabel)
 
 
 def edge_set_sign(g: SignedGraph, s) -> int:
@@ -320,31 +366,23 @@ def enumerate_circles(g: SignedGraph, s=None, cap=DEFAULT_CIRCLE_CAP):
     Loops are circles of length 1 and parallel pairs are circles (digons) of
     length 2.  Canonical order: by sorted edge-id tuple.
     """
-    ids = g.edge_ids if s is None else frozenset(s)
-    edges = g.restricted(ids)
+    edges = g.edges if s is None else g.restricted(s)
     if len(edges) > cap:
         raise SgError(f"circle enumeration cap exceeded ({len(edges)} > {cap})")
 
-    circles = set()
-    adj = {}  # vertex -> list of (edge id, other endpoint)
-    for e in edges:
-        if e.kind is EdgeKind.LOOP:
-            circles.add(frozenset([e.id]))
-        elif e.kind is EdgeKind.LINK:
-            u, v = e.ends
-            adj.setdefault(u, []).append((e.id, v))
-            adj.setdefault(v, []).append((e.id, u))
+    circles = {frozenset([e.id]) for e in edges if e.kind is EdgeKind.LOOP}
+    adj = _link_adjacency(g.n, edges)
 
     def dfs(start, v, visited, path):
-        for eid, w in adj.get(v, ()):
-            if eid in path:
+        for e, w in adj[v]:
+            if e.id in path:
                 continue
             if w == start:
-                circles.add(frozenset(path) | {eid})
+                circles.add(frozenset(path) | {e.id})
             elif w > start and w not in visited:
-                dfs(start, w, visited | {w}, path + [eid])
+                dfs(start, w, visited | {w}, path + [e.id])
 
-    for start in sorted(adj):
+    for start in range(g.n):
         dfs(start, start, {start}, [])
 
     return sorted(circles, key=lambda c: tuple(sorted(c)))
@@ -357,85 +395,30 @@ def circle_sign(g: SignedGraph, circle) -> int:
 def spanning_forest(g: SignedGraph, s=None):
     """Maximal forest within s, chosen by BFS from the lowest vertex index,
     scanning edges in id order."""
-    ids = g.edge_ids if s is None else frozenset(s)
-    adj = {}
-    for e in sorted(g.restricted(ids), key=lambda e: e.id):
-        if e.kind is EdgeKind.LINK:
-            u, v = e.ends
-            adj.setdefault(u, []).append((e.id, v))
-            adj.setdefault(v, []).append((e.id, u))
-    forest = set()
-    seen = [False] * g.n
-    for root in range(g.n):
-        if seen[root]:
-            continue
-        seen[root] = True
-        queue = deque([root])
-        while queue:
-            v = queue.popleft()
-            for eid, w in adj.get(v, ()):
-                if not seen[w]:
-                    seen[w] = True
-                    forest.add(eid)
-                    queue.append(w)
-    return frozenset(forest)
-
-
-def tree_paths(g: SignedGraph, t):
-    """For a forest t: per-vertex (root, path edge ids, path sign) by BFS."""
-    adj = {}
-    for e in sorted(g.restricted(t), key=lambda e: e.id):
-        if e.kind is not EdgeKind.LINK:
-            raise SgError(f"forest may contain links only, got {e.id!r}")
-        u, v = e.ends
-        adj.setdefault(u, []).append((e, v))
-        adj.setdefault(v, []).append((e, u))
-    info = {}
-    for root in range(g.n):
-        if root in info:
-            continue
-        info[root] = (root, frozenset(), 1)
-        queue = deque([root])
-        while queue:
-            v = queue.popleft()
-            _, path, sign = info[v]
-            for e, w in adj.get(v, ()):
-                if w not in info:
-                    info[w] = (root, path | {e.id}, sign * e.sign)
-                    queue.append(w)
-    return info
-
-
-def _is_forest(g: SignedGraph, t):
-    edges = g.restricted(t)
-    if any(e.kind is not EdgeKind.LINK for e in edges):
-        return False
-    parent = list(range(g.n))
-    for e in edges:
-        a, b = _find(parent, e.ends[0]), _find(parent, e.ends[1])
-        if a == b:
-            return False
-        parent[max(a, b)] = min(a, b)
-    return True
+    edges = g.edges if s is None else g.restricted(s)
+    parent, _, _ = _bfs_forest(_link_adjacency(g.n, sorted(edges, key=lambda e: e.id)))
+    return frozenset(p[0].id for p in parent if p)
 
 
 def fundamental_system(g: SignedGraph, t):
     """Map each non-tree ordinary edge e to the unique circle in t + e."""
     t = frozenset(t)
-    if not _is_forest(g, t):
+    tree = g.restricted(t)
+    parent, root, depth = _bfs_forest(_link_adjacency(g.n, tree))
+    if sum(p is not None for p in parent) != len(tree):  # a non-link or a circle
         raise SgError("t is not a forest")
-    info = tree_paths(g, t)
     system = {}
     for e in g.edges:
         if not e.is_ordinary or e.id in t:
             continue
-        if e.kind is EdgeKind.LOOP:
-            system[e.id] = frozenset([e.id])
-            continue
         u, v = e.ends
-        ru, pu, _ = info[u]
-        rv, pv, _ = info[v]
-        if ru != rv:
+        if root[u] != root[v]:
             raise SgError(f"t is not maximal: {e.id!r} joins two trees")
-        system[e.id] = (pu ^ pv) | {e.id}
+        circle = {e.id}
+        while u != v:  # climb from the deeper end to the common ancestor
+            if depth[u] < depth[v]:
+                u, v = v, u
+            f, u = parent[u]
+            circle.add(f.id)
+        system[e.id] = frozenset(circle)
     return system

@@ -16,6 +16,7 @@ from .core import (
     EdgeKind,
     SgError,
     SignedGraph,
+    _link_adjacency,
     _potential,
     edge_set_sign,
     enumerate_circles,
@@ -45,23 +46,17 @@ class FrameCircuit:
 def _connecting_paths(g: SignedGraph, vs1, vs2, forbidden_edges):
     """All minimal paths from vs1 to vs2, internally avoiding both vertex
     sets, using edges outside forbidden_edges.  Yields (edge set, endpoints)."""
-    adj = {}
-    for e in g.edges:
-        if e.kind is EdgeKind.LINK and e.id not in forbidden_edges:
-            u, v = e.ends
-            adj.setdefault(u, []).append((e.id, v))
-            adj.setdefault(v, []).append((e.id, u))
-
+    adj = _link_adjacency(g.n, (e for e in g.edges if e.id not in forbidden_edges))
     paths = []
 
     def dfs(v, used_edges, used_verts):
-        for eid, w in adj.get(v, ()):
-            if eid in used_edges:
+        for e, w in adj[v]:
+            if e.id in used_edges:
                 continue
             if w in vs2:
-                paths.append(frozenset(used_edges | {eid}))
+                paths.append(frozenset(used_edges | {e.id}))
             elif w not in used_verts and w not in vs1 and w not in vs2:
-                dfs(w, used_edges | {eid}, used_verts | {w})
+                dfs(w, used_edges | {e.id}, used_verts | {w})
 
     for start in sorted(vs1):
         dfs(start, set(), {start})

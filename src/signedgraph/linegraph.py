@@ -3,15 +3,17 @@ and switching isomorphism of signed graphs.
 
 The source graph must consist of links only; line-graph vertices are the
 source edges in file order.  Two parallel source edges share two vertices and
-therefore get two parallel line edges, one per shared vertex.
+therefore get two parallel line edges, one per shared vertex.  Switching
+isomorphism relabels with `core._relabel` as contraction does (one edge e is
+`contract_set` on {e}) and solves its forced signs with `core._potential`.
 """
 
 from __future__ import annotations
 
-from collections import Counter, deque
+from collections import Counter
 from dataclasses import dataclass
 
-from .core import Edge, EdgeKind, SgError, SignedGraph, link
+from .core import Edge, EdgeKind, SgError, SignedGraph, _potential, _relabel, link
 from .matrices import adjacency_matrix, reduce as reduce_graph
 from .orientation import BidirectedGraph, orient
 
@@ -117,11 +119,6 @@ def negate(g: SignedGraph) -> SignedGraph:
     )
 
 
-def line_graph_class(g: SignedGraph) -> SignedGraph:
-    """Canonical representative of the line graph's switching class."""
-    return line_graph(orient(g)).graph
-
-
 # ---------------------------------------------------------------------------
 # generalized line graphs
 
@@ -198,13 +195,6 @@ def generalized_line_graph(n, edge_list, multiplicities):
 # switching isomorphism
 
 
-def _relabel_vertices(g: SignedGraph, phi) -> SignedGraph:
-    return SignedGraph(
-        g.n,
-        [Edge(e.id, e.kind, tuple(phi[v] for v in e.ends), e.sign) for e in g.edges],
-    )
-
-
 def _switching_same_multigraph(g1: SignedGraph, g2: SignedGraph):
     """True iff the two graphs on the same vertex set, with equal underlying
     multigraphs, differ by a switching (edge ids ignored)."""
@@ -219,87 +209,61 @@ def _switching_same_multigraph(g1: SignedGraph, g2: SignedGraph):
     if {k: len(v) for k, v in c1.items()} != {k: len(v) for k, v in c2.items()}:
         return False
 
-    # per link class: the admissible factors zeta(u)*zeta(v)
-    constraints = {}  # (u, v) -> set of admissible factors
+    # per class: the admissible factors zeta(u)*zeta(v); a class that admits
+    # one factor only becomes a forced link carrying that factor as its sign
+    forced = []
     for key, signs1 in c1.items():
         kind, ends = key
-        m1, m2 = Counter(signs1), Counter(c2[key])
         if kind in (EdgeKind.HALF, EdgeKind.LOOSE):
             continue
-        neg2 = Counter({-s: c for s, c in m2.items()})
-        ok = set()
-        if m1 == m2:
-            ok.add(1)
-        if m1 == neg2:
-            ok.add(-1)
-        if not ok:
-            return False
+        m1, m2 = Counter(signs1), Counter(c2[key])
+        same = m1 == m2
+        opposite = m1 == Counter({-s: c for s, c in m2.items()})
         if kind is EdgeKind.LOOP:
-            if 1 not in ok:  # zeta(v)^2 = 1 always
+            if not same:  # zeta(v)^2 = 1 always
                 return False
-            continue
-        constraints[ends] = ok
-
-    # 2-color the constraint graph
-    zeta = {}
-    for start in range(g1.n):
-        if start in zeta:
-            continue
-        zeta[start] = 1
-        queue = deque([start])
-        while queue:
-            u = queue.popleft()
-            for (a, b), ok in constraints.items():
-                if u not in (a, b):
-                    continue
-                w = b if u == a else a
-                if len(ok) == 2:
-                    continue
-                need = next(iter(ok)) * zeta[u]
-                if w in zeta:
-                    if zeta[w] != need:
-                        return False
-                else:
-                    zeta[w] = need
-                    queue.append(w)
-    return True
+        elif not (same or opposite):
+            return False
+        elif same != opposite:
+            forced.append(link(str(len(forced)), *ends, 1 if same else -1))
+    # some zeta meets every forced factor iff the forced links are balanced
+    return not _potential(SignedGraph(g1.n, forced))[2]
 
 
 def switching_isomorphic(g1: SignedGraph, g2: SignedGraph):
     """A vertex bijection phi with g1^phi switching-equivalent to g2, or None.
 
-    Backtracking over vertex assignments with degree pruning; meant for
-    desk-scale graphs (order around 10)."""
+    Backtracking over vertex assignments with degree and link-multiplicity
+    pruning; meant for desk-scale graphs (order around 10)."""
     if g1.n != g2.n or len(g1.edges) != len(g2.edges):
         return None
-    if sorted(g1.degree(v) for v in range(g1.n)) != sorted(
-        g2.degree(v) for v in range(g2.n)
-    ):
+
+    def tables(g):
+        degree = [0] * g.n
+        links = Counter()  # {u, v} -> number of links joining u and v
+        for e in g.edges:
+            for v in e.ends:
+                degree[v] += 1
+            if e.kind is EdgeKind.LINK:
+                links[frozenset(e.ends)] += 1
+        return degree, links
+
+    (deg1, links1), (deg2, links2) = tables(g1), tables(g2)
+    if sorted(deg1) != sorted(deg2):
         return None
 
-    def multi_key(g, u, v):
-        cnt = 0
-        for e in g.edges:
-            if e.kind is EdgeKind.LINK and sorted(e.ends) == sorted((u, v)):
-                cnt += 1
-        return cnt
-
-    order = sorted(range(g1.n), key=lambda v: -g1.degree(v))
+    order = sorted(range(g1.n), key=lambda v: -deg1[v])
     phi = {}
     used = set()
 
     def consistent(v, w):
-        if g1.degree(v) != g2.degree(w):
-            return False
-        for u in phi:
-            if multi_key(g1, v, u) != multi_key(g2, w, phi[u]):
-                return False
-        return True
+        return deg1[v] == deg2[w] and all(
+            links1[frozenset((v, u))] == links2[frozenset((w, x))] for u, x in phi.items()
+        )
 
     def backtrack(i):
         if i == len(order):
-            mapped = _relabel_vertices(g1, phi)
-            return _switching_same_multigraph(mapped, g2)
+            return _switching_same_multigraph(_relabel(g1.n, g1.edges, phi), g2)
         v = order[i]
         for w in range(g2.n):
             if w in used or not consistent(v, w):

@@ -4,13 +4,14 @@ Contraction of a set is only well defined up to switching; we fix a canonical
 representative by switching every balanced component of the contracted set to
 all-positive via a BFS tree rooted at its lowest vertex.  Merged vertices take
 the minimum constituent index, and a MinorTrace records the provenance.
+Contracting a single edge e is contracting the set {e}.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import Edge, EdgeKind, SignedGraph, _potential
+from .core import SignedGraph, _potential, _relabel
 from .balance import switch
 
 
@@ -32,61 +33,16 @@ def delete_edges(g: SignedGraph, s) -> SignedGraph:
     return g.with_edges(e for e in g.edges if e.id not in s)
 
 
-def _relabelled(n_new, edges, vmap):
-    out = []
-    for e in edges:
-        new_ends = tuple(vmap[v] for v in e.ends if vmap[v] is not None)
-        if e.is_ordinary:
-            if len(new_ends) == 2:
-                kind = EdgeKind.LINK if new_ends[0] != new_ends[1] else EdgeKind.LOOP
-                out.append(Edge(e.id, kind, new_ends, e.sign))
-            elif len(new_ends) == 1:
-                out.append(Edge(e.id, EdgeKind.HALF, new_ends))
-            else:
-                out.append(Edge(e.id, EdgeKind.LOOSE, ()))
-        elif e.kind is EdgeKind.HALF:
-            if new_ends:
-                out.append(Edge(e.id, EdgeKind.HALF, new_ends))
-            else:
-                out.append(Edge(e.id, EdgeKind.LOOSE, ()))
-        else:
-            out.append(e)
-    return SignedGraph(n_new, out)
-
-
 def contract_edge(g: SignedGraph, eid):
-    """Contract one edge per the case table.
+    """Contract one edge: contract_set(g, [eid]), which amounts to this table.
 
     Positive link: identify endpoints.  Negative link: switch the
     higher-indexed endpoint first.  Positive loop / loose: delete the edge.
     Negative loop / half edge at v: delete v and the edge; other edges at v
     lose that endpoint (link -> half, loop/half -> loose).
     """
-    e = g.edge(eid)
-
-    if e.kind is EdgeKind.LOOSE or (e.kind is EdgeKind.LOOP and e.sign == 1):
-        trace = MinorTrace(frozenset(), frozenset([eid]), {v: v for v in range(g.n)})
-        return delete_edges(g, [eid]), trace
-
-    if e.kind is EdgeKind.LINK:
-        if e.sign == -1:
-            hi = max(e.ends)
-            g = switch(g, {v: (-1 if v == hi else 1) for v in range(g.n)})
-        u, v = min(e.ends), max(e.ends)
-        vmap = {}
-        for w in range(g.n):
-            t = u if w == v else w
-            vmap[w] = t if t < v else t - 1
-        rest = [x for x in g.edges if x.id != eid]
-        trace = MinorTrace(frozenset(), frozenset([eid]), vmap)
-        return _relabelled(g.n - 1, rest, vmap), trace
-
-    # negative loop or half edge at v: drop the vertex
-    v = e.ends[0]
-    vmap = {w: (None if w == v else (w if w < v else w - 1)) for w in range(g.n)}
-    rest = [x for x in g.edges if x.id != eid]
-    trace = MinorTrace(frozenset(), frozenset([eid]), vmap)
-    return _relabelled(g.n - 1, rest, vmap), trace
+    g.edge(eid)  # validates the id
+    return contract_set(g, [eid])
 
 
 def contract_set(g: SignedGraph, s):
@@ -102,4 +58,4 @@ def contract_set(g: SignedGraph, s):
     vmap = {v: index.get(root[v]) for v in range(g.n)}
     rest = [e for e in switched.edges if e.id not in s]
     trace = MinorTrace(frozenset(), s, vmap)
-    return _relabelled(len(roots), rest, vmap), trace
+    return _relabel(len(roots), rest, vmap), trace

@@ -222,13 +222,31 @@ def test_two_disjoint_negative_circles():
 
 def test_blocks():
     g = SignedGraph(
-        5,
+        7,
         neg_triangle()
-        + [link("p", 2, 3, 1), link("q", 3, 4, 1), loop("l", 4, -1)],
+        + [link("p", 2, 3, 1), link("q", 3, 4, 1), loop("l", 4, -1), loop("m", 6, 1)],
     )
+    # loops and half edges first, then link blocks as the DFS closes them,
+    # then isolated vertices without a loop or half edge
+    assert blocks(g) == [
+        ({4}, {"l"}),
+        ({6}, {"m"}),
+        ({3, 4}, {"q"}),
+        ({2, 3}, {"p"}),
+        ({0, 1, 2}, {"t0a", "t0b", "t0c"}),
+        ({5}, set()),
+    ]
+
+
+def test_blocks_of_a_long_path_need_no_recursion(monkeypatch):
+    import sys
+
+    def refuse(limit):
+        raise AssertionError("blocks must not change the recursion limit")
+
+    monkeypatch.setattr(sys, "setrecursionlimit", refuse)
+    n = 30000
+    g = SignedGraph(n, [link(f"p{i}", i, i + 1, 1) for i in range(n - 1)])
     bl = blocks(g)
-    edge_sets = sorted(b[1] for b in bl if b[1])
-    assert frozenset({"t0a", "t0b", "t0c"}) in edge_sets
-    assert frozenset({"p"}) in edge_sets
-    assert frozenset({"q"}) in edge_sets
-    assert frozenset({"l"}) in edge_sets
+    assert len(bl) == n - 1
+    assert all(len(edge_set) == 1 for _, edge_set in bl)

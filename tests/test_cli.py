@@ -116,6 +116,9 @@ def test_exit_codes(tmp_path, capsys):
     bad.write_text("sg 1\nn 2\nedge a 1 9 +\n")
     assert run(["balance", str(bad)]) == 1
     capsys.readouterr()
+    for nu in ("1/0", "x"):
+        assert run(["gramian", SIGMA4, "--nu", nu]) == 1
+        assert "--nu" in capsys.readouterr().err
 
 
 def test_chromatic_expansion_rejects_zero_free(capsys):
@@ -152,6 +155,9 @@ def test_edge_cap_env(tmp_path, capsys, monkeypatch):
     assert run(["info", SIGMA4]) == 1
     monkeypatch.setenv("SGTOOL_MAX_EDGES", "10")
     assert run(["info", SIGMA4]) == 0
+    monkeypatch.setenv("SGTOOL_MAX_EDGES", "x")
+    assert run(["info", SIGMA4]) == 1
+    assert "SGTOOL_MAX_EDGES" in capsys.readouterr().err
     monkeypatch.delenv("SGTOOL_MAX_EDGES")
     assert run(["info", SIGMA4, "--max-edges", "3"]) == 1
     err = capsys.readouterr().err

@@ -139,6 +139,57 @@ def test_spanning_forest_and_fundamental_system():
             spans.add(acc)
     for c in enumerate_circles(g):
         assert c in spans
+    # BFS from vertex 0 scanning ids in order queues 1 before 2 and reaches
+    # 3 by e; Kruskal by id would take a, and BFS in file order would take f
+    g = out_of_order()
+    assert spanning_forest(g) == {"b", "d", "e"}
+    assert fundamental_system(g, {"b", "d", "e"}) == {
+        "f": {"b", "d", "e", "f"}, "a": {"a", "b", "d"},
+    }
+
+
+def out_of_order():
+    return SignedGraph(
+        4,
+        [link("f", 2, 3, 1), link("e", 1, 3, 1), link("d", 0, 2, 1),
+         link("b", 0, 1, 1), link("a", 1, 2, 1)],
+    )
+
+
+def kruskal_forest(g, rng):
+    """A maximal forest of g's links, taken greedily in random order."""
+    parent = list(range(g.n))
+
+    def find(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    links = [e for e in g.edges if e.kind is EdgeKind.LINK]
+    rng.shuffle(links)
+    forest = set()
+    for e in links:
+        a, b = find(e.ends[0]), find(e.ends[1])
+        if a != b:
+            parent[a] = b
+            forest.add(e.id)
+    return frozenset(forest)
+
+
+def test_fundamental_circles_are_the_circles_of_t_plus_e():
+    rng = seeded(7)
+    for _ in range(150):
+        g = random_graph(rng, n_max=7, m_max=12)
+        for t in (spanning_forest(g), kruskal_forest(g, rng)):
+            system = fundamental_system(g, t)
+            ordinary = {e.id for e in g.edges if e.is_ordinary}
+            assert system.keys() == ordinary - t
+            for eid, circle in system.items():
+                assert enumerate_circles(g, t | {eid}, cap=len(t) + 1) == [circle]
+    with pytest.raises(SgError, match="not a forest"):
+        fundamental_system(out_of_order(), {"a", "b", "d"})
+    with pytest.raises(SgError, match="not maximal"):
+        fundamental_system(out_of_order(), {"a"})
 
 
 def test_circle_enumeration_cap():

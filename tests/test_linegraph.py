@@ -1,7 +1,11 @@
 import pytest
 
+from collections import Counter
+from itertools import permutations, product
+
 from signedgraph import (
     BidirectedGraph,
+    Edge,
     SgError,
     SignedGraph,
     adjacency_matrix,
@@ -169,3 +173,64 @@ def test_switching_isomorphic_negative_cases():
         3, [link("x", 1, 2, -1), link("y", 0, 2, -1), link("z", 0, 1, 1)]
     )
     assert switching_isomorphic(tri_pos, relabel) is not None
+
+
+def signed_multiset(g, phi, zeta):
+    """The edges of g moved by phi and switched by zeta, ids dropped."""
+    out = Counter()
+    for e in g.edges:
+        sign = e.sign
+        if e.is_ordinary:
+            sign = zeta[e.ends[0]] * sign * zeta[e.ends[1]]
+        out[e.kind, tuple(sorted(phi[v] for v in e.ends)), sign] += 1
+    return out
+
+
+def brute_force_isomorphic(g1, g2):
+    target = signed_multiset(g2, range(g2.n), [1] * g2.n)
+    return g1.n == g2.n and any(
+        signed_multiset(g1, phi, zeta) == target
+        for phi in permutations(range(g1.n))
+        for zeta in product((1, -1), repeat=g1.n)
+    )
+
+
+def disguised_copy(rng, g):
+    """g relabelled, switched, renamed and shuffled; one sign flipped at
+    random in most copies."""
+    phi = list(range(g.n))
+    rng.shuffle(phi)
+    zeta = [rng.choice((1, -1)) for _ in range(g.n)]
+    flip = rng.randrange(len(g.edges) + 1)
+    edges = []
+    for i, e in enumerate(g.edges):
+        sign = e.sign
+        if e.is_ordinary:
+            sign *= zeta[e.ends[0]] * zeta[e.ends[1]] * (-1 if i == flip else 1)
+        edges.append(Edge("x" + e.id, e.kind, tuple(phi[v] for v in e.ends), sign))
+    rng.shuffle(edges)
+    return SignedGraph(g.n, edges)
+
+
+def test_switching_isomorphic_matches_brute_force():
+    rng = seeded(77)
+    found = 0
+    kinds = set()
+    for _ in range(150):
+        g1 = random_graph(rng, n_max=5, m_max=8)
+        kinds |= {e.kind.value for e in g1.edges}
+        links = Counter(frozenset(e.ends) for e in g1.edges if e.kind.value == "link")
+        if any(c > 1 for c in links.values()):
+            kinds.add("parallel links")
+        g2 = disguised_copy(rng, g1) if rng.random() < 0.7 else random_graph(rng, n_max=5, m_max=8)
+        phi = switching_isomorphic(g1, g2)
+        assert (phi is not None) == brute_force_isomorphic(g1, g2)
+        if phi is not None:
+            found += 1
+            target = signed_multiset(g2, range(g2.n), [1] * g2.n)
+            assert any(
+                signed_multiset(g1, phi, zeta) == target
+                for zeta in product((1, -1), repeat=g1.n)
+            )
+    assert 30 < found < 140
+    assert kinds == {"link", "loop", "half", "loose", "parallel links"}

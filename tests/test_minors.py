@@ -142,3 +142,30 @@ def test_contracted_balanced_parts_become_all_positive():
             e for e in s if g.edge(e).ends and all(v not in part.v0 for v in g.edge(e).ends)
         )
         assert is_balanced(g, sub)
+
+
+def test_contract_edge_is_contract_set_of_one_edge():
+    # contract_edge(g, e) == contract_set(g, {e}), graph and trace, and the
+    # vertex map follows the case table in contract_edge's docstring
+    rng = seeded(34)
+    seen = set()
+    for _ in range(120):
+        g = random_graph(rng, n_max=6, m_max=9)
+        for e in g.edges:
+            got = contract_edge(g, e.id)
+            assert got == contract_set(g, [e.id])
+            seen.add((e.kind, e.sign))
+            vmap = got[1].vertex_map
+            if e.kind is EdgeKind.LINK:
+                u, v = sorted(e.ends)
+                assert vmap == {w: u if w == v else w - (w > v) for w in range(g.n)}
+            elif e.kind is EdgeKind.HALF or e.sign == -1:
+                (v,) = set(e.ends)
+                assert vmap == {w: None if w == v else w - (w > v) for w in range(g.n)}
+            else:
+                assert vmap == {w: w for w in range(g.n)}
+                assert got[0] == delete_edges(g, [e.id])
+    assert seen == {
+        (EdgeKind.LINK, 1), (EdgeKind.LINK, -1), (EdgeKind.LOOP, 1),
+        (EdgeKind.LOOP, -1), (EdgeKind.HALF, None), (EdgeKind.LOOSE, None),
+    }
