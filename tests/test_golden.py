@@ -76,6 +76,45 @@ CASES = {
     "contract-cycle30-path29": ["contract", CYCLE30, "--edges", PATH29],
     "rank-cycle30-path29": ["rank", CYCLE30, "--edges", PATH29],
     "closure-cycle30-path29": ["closure", CYCLE30, "--edges", PATH29],
+    "info-sigma4": ["info", SIGMA4],
+    "info-mixed7": ["info", MIXED7],
+    "delete-sigma4-de": ["delete", SIGMA4, "--edges", "d,e"],
+    "delete-mixed7-fhz": ["delete", MIXED7, "--edges", "f,h,z"],
+    "matrix-sigma4-incidence": ["matrix", SIGMA4],
+    "matrix-sigma4-adjacency": ["matrix", SIGMA4, "--which", "adjacency"],
+    "matrix-sigma4-laplacian": ["matrix", SIGMA4, "--which", "laplacian"],
+    "matrix-sigma4-degree": ["matrix", SIGMA4, "--which", "degree"],
+    "matrix-mixed7-incidence": ["matrix", MIXED7],
+    "matrix-mixed7-laplacian": ["matrix", MIXED7, "--which", "laplacian"],
+    # spectra with no eigenvalue near 0, where LAPACK's rounding residue
+    # (about 1e-16) would be printed
+    "spectrum-sigma4-adjacency": ["spectrum", SIGMA4],
+    "spectrum-sigma4-laplacian": ["spectrum", SIGMA4, "--which", "laplacian"],
+    "spectrum-cycle30-adjacency": ["spectrum", CYCLE30],
+    "acyclic-sigma4": ["acyclic", SIGMA4],
+    "acyclic-mixed7": ["acyclic", MIXED7],
+    "catalog-sigma4-full": ["catalog", SIGMA4, "--family", "full"],
+    "catalog-sigma4-fullloops": ["catalog", SIGMA4, "--family", "fullloops"],
+    "catalog-mixed7-allpositive": ["catalog", MIXED7, "--family", "allpositive"],
+    "catalog-mixed7-allpositivefull": ["catalog", MIXED7, "--family", "allpositivefull"],
+    "catalog-mixed7-allnegative": ["catalog", MIXED7, "--family", "allnegative"],
+    "catalog-mixed7-signedexpansion": ["catalog", MIXED7, "--family", "signedexpansion"],
+    "catalog-mixed7-signedexpansionfull": ["catalog", MIXED7, "--family", "signedexpansionfull"],
+    "catalog-pmkn-3": ["catalog", "--family", "pmkn", "--n", "3"],
+    "catalog-pmknfull-3": ["catalog", "--family", "pmknfull", "--n", "3"],
+    "linegraph-cycle30": ["linegraph", CYCLE30],
+    "linegraph-cycle30-reduced": ["linegraph", CYCLE30, "--reduced"],
+    "glinegraph-sigma4": ["glinegraph", SIGMA4, "--m", "1,0,2,0"],
+    "glinegraph-mixed7": ["glinegraph", MIXED7, "--m", "1,0,0,2,0,0,1"],
+    "roots-A-3": ["roots", "--name", "A", "--n", "3"],
+    "roots-B-3": ["roots", "--name", "B", "--n", "3"],
+    "roots-C-3": ["roots", "--name", "C", "--n", "3"],
+    "roots-D-4": ["roots", "--name", "D", "--n", "4"],
+    "roots-E8": ["roots", "--name", "E8"],
+    # only nonexistence: the vectors of a representation depend on the
+    # LAPACK eigenbasis
+    "gramian-cycle30-nu1": ["gramian", CYCLE30, "--nu", "1"],
+    "gramian-cycle30-nu1-anti": ["gramian", CYCLE30, "--nu", "1", "--anti"],
 }
 
 FORMATS = {"txt": [], "json": ["--json"]}
