@@ -12,8 +12,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
 
-import numpy as np
-
 from .core import EdgeKind, SgError, SignedGraph
 from .matrices import adjacency_matrix
 
@@ -173,6 +171,8 @@ def construct_gramian(g: SignedGraph, nu, anti=False, tol=TOL):
 
     Returns None when the smallest eigenvalue of (possibly negated) A is
     below -nu - tol; otherwise the vectors span dimension rank(A + nu*I)."""
+    import numpy as np  # on first use: no other routine needs numpy
+
     a = np.array(_simple_adjacency(g), dtype=float)
     if a.size == 0:
         return AngleRepresentation((), nu, "antigramian" if anti else "gramian")

@@ -4,6 +4,10 @@ Every verb reads the `sg 1` text format, prints a deterministic text report
 (or canonical JSON with --json), and exits 0 on success, 1 on a domain error,
 2 on usage errors.  --threads is accepted for interface stability; all
 analyses are deterministic and single-threaded.
+
+Only `core` is imported with this module.  Each verb handler imports what it
+uses from the other submodules when it runs, so a launch loads just the
+modules of its verb, and numpy only for spectrum and gramian.
 """
 
 from __future__ import annotations
@@ -12,38 +16,9 @@ import argparse
 import json
 import os
 import sys
-from fractions import Fraction
 
 from . import core
 from .core import SgError, SignedGraph, parse, serialize
-from .balance import (
-    balance_partition,
-    classify_balancing_edges,
-    harary_bipartition,
-    switch_set,
-)
-from .minors import contract_set, delete_edges
-from .frame import closure, enumerate_frame_circuits, rank
-from .matrices import (
-    adjacency_matrix,
-    degree_matrix,
-    incidence_matrix,
-    laplacian,
-    matrix_tree,
-    spectrum,
-)
-from .orientation import enumerate_acyclic, characteristic_polynomial, region_count
-from .polynomial import IntPolynomial, format_polynomial
-from .coloring import (
-    catalog,
-    chromatic_numbers,
-    chromatic_poly_delcon,
-    chromatic_poly_subset,
-    chromatic_via_expansion,
-    count_proper,
-)
-from .linegraph import generalized_line_graph, line_graph, reduced_line_graph, switching_isomorphic
-from .angle import construct_gramian, root_system
 
 SCHEMA = "sgtool/1"
 
@@ -120,6 +95,8 @@ def cmd_info(args):
 
 
 def cmd_balance(args):
+    from .balance import balance_partition, harary_bipartition
+
     g = _load(args)
     part = balance_partition(g)
     balanced = not part.v0
@@ -139,6 +116,8 @@ def cmd_balance(args):
 
 
 def cmd_switch(args):
+    from .balance import switch_set
+
     g = _load(args)
     verts = []
     for tok in _edge_list_arg(args.vertices):
@@ -154,6 +133,8 @@ def cmd_switch(args):
 
 
 def cmd_balancing_edges(args):
+    from .balance import classify_balancing_edges
+
     g = _load(args)
     cls = classify_balancing_edges(g)
     lines = [f"{eid}: {cls[eid]}" for eid in sorted(cls)]
@@ -161,12 +142,16 @@ def cmd_balancing_edges(args):
 
 
 def cmd_delete(args):
+    from .minors import delete_edges
+
     g = _load(args)
     out = serialize(delete_edges(g, _edge_list_arg(args.edges))).decode()
     _emit(args, {"graph_text": out}, [out.rstrip("\n")])
 
 
 def cmd_contract(args):
+    from .minors import contract_set
+
     g = _load(args)
     result, trace = contract_set(g, _edge_list_arg(args.edges))
     out = serialize(result).decode()
@@ -184,6 +169,8 @@ def cmd_contract(args):
 
 
 def cmd_frame_circuits(args):
+    from .frame import enumerate_frame_circuits
+
     g = _load(args)
     fcs = enumerate_frame_circuits(g, n_cap=g.n, edge_cap=len(g.edges))
     lines = [f"{fc.kind}: {_eset(fc.edge_set)}" for fc in fcs]
@@ -196,6 +183,8 @@ def cmd_frame_circuits(args):
 
 
 def cmd_closure(args):
+    from .frame import closure
+
     g = _load(args)
     s = _edge_list_arg(args.edges) if args.edges else []
     out = closure(g, s)
@@ -203,6 +192,8 @@ def cmd_closure(args):
 
 
 def cmd_rank(args):
+    from .frame import rank
+
     g = _load(args)
     s = _edge_list_arg(args.edges) if args.edges is not None else None
     r = rank(g, s)
@@ -210,6 +201,8 @@ def cmd_rank(args):
 
 
 def cmd_matrix(args):
+    from .matrices import adjacency_matrix, degree_matrix, incidence_matrix, laplacian
+
     g = _load(args)
     which = {
         "incidence": incidence_matrix,
@@ -223,6 +216,8 @@ def cmd_matrix(args):
 
 
 def cmd_matrix_tree(args):
+    from .matrices import matrix_tree
+
     g = _load(args)
     rep = matrix_tree(g)
     lines = [
@@ -244,6 +239,8 @@ def cmd_matrix_tree(args):
 
 
 def cmd_spectrum(args):
+    from .matrices import adjacency_matrix, laplacian, spectrum
+
     g = _load(args)
     m = adjacency_matrix(g) if args.which == "adjacency" else laplacian(g)
     eig = [_fmt_float(x) for x in spectrum(m)]
@@ -253,6 +250,9 @@ def cmd_spectrum(args):
 
 
 def cmd_regions(args):
+    from .orientation import region_count
+    from .polynomial import format_polynomial
+
     g = _load(args)
     rep = region_count(g, oracle=args.oracle, count_acyclic=args.acyclic)
     lines = [
@@ -274,12 +274,17 @@ def cmd_regions(args):
 
 
 def cmd_acyclic(args):
+    from .orientation import enumerate_acyclic
+
     g = _load(args)
     c = enumerate_acyclic(g)
     _emit(args, {"acyclic": c}, [f"acyclic: {c}"])
 
 
 def cmd_charpoly(args):
+    from .orientation import characteristic_polynomial
+    from .polynomial import format_polynomial
+
     g = _load(args)
     p = characteristic_polynomial(g)
     _emit(
@@ -290,6 +295,15 @@ def cmd_charpoly(args):
 
 
 def cmd_chromatic(args):
+    from .coloring import (
+        chromatic_numbers,
+        chromatic_poly_delcon,
+        chromatic_poly_subset,
+        chromatic_via_expansion,
+        count_proper,
+    )
+    from .polynomial import format_polynomial
+
     g = _load(args)
     zf = args.zero_free
     if args.algorithm == "count":
@@ -338,6 +352,9 @@ FAMILIES = {
 
 
 def cmd_catalog(args):
+    from .coloring import catalog
+    from .polynomial import format_polynomial
+
     family = FAMILIES.get(args.family)
     if family is None:
         raise SgError(f"unknown family {args.family!r} (choose from {sorted(FAMILIES)})")
@@ -368,6 +385,8 @@ def cmd_catalog(args):
 
 
 def cmd_linegraph(args):
+    from .linegraph import line_graph, reduced_line_graph
+
     g = _load(args)
     res = reduced_line_graph(g) if args.reduced else line_graph(g)
     out = serialize(res.graph).decode()
@@ -381,6 +400,8 @@ def cmd_linegraph(args):
 
 
 def cmd_glinegraph(args):
+    from .linegraph import generalized_line_graph, reduced_line_graph, switching_isomorphic
+
     g = _load(args)
     edge_list = [tuple(e.ends) for e in g.edges if e.kind is core.EdgeKind.LINK]
     try:
@@ -400,6 +421,8 @@ def cmd_glinegraph(args):
 
 
 def cmd_roots(args):
+    from .angle import root_system
+
     rs = root_system(args.name, args.n)
     vecs = sorted(rs.vectors)
     lines = [f"{rs.name}({rs.n}): {len(rs)} vectors"]
@@ -418,11 +441,16 @@ def cmd_roots(args):
 
 
 def cmd_gramian(args):
+    from fractions import Fraction
+
+    from .angle import construct_gramian
+
     g = _load(args)
     try:
         nu = Fraction(args.nu)
-    except (ValueError, ZeroDivisionError):
-        raise SgError(f"--nu must be a rational number, got {args.nu!r}") from None
+        float(nu)  # construct_gramian shifts A by float(nu)
+    except (ValueError, ZeroDivisionError, OverflowError):
+        raise SgError(f"--nu must be a rational number within float range, got {args.nu!r}") from None
     rep = construct_gramian(g, nu, anti=args.anti)
     if rep is None:
         _emit(args, {"exists": False}, ["exists: false"])

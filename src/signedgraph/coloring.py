@@ -172,10 +172,15 @@ def stable_vertex_sets(g: SignedGraph):
 
 def chromatic_via_expansion(g: SignedGraph) -> IntPolynomial:
     """chi(lambda) = sum over stable W of chi*_{g - W}(lambda - 1); the sum
-    is taken first and shifted once."""
+    is taken first and shifted once.  One deletion-contraction memo serves
+    every g - W, since its key is the whole constraint state."""
     total = IntPolynomial.zero()
+    memo = {}
     for w in stable_vertex_sets(g):
-        total = total + chromatic_poly_delcon(delete_vertices(g, w), zero_free=True)
+        h = delete_vertices(g, w)
+        cons = _constraints(h, True)
+        if cons is not None:
+            total = total + IntPolynomial(_delcon((h.n, cons), True, memo))
     return total.compose_affine(1, -1).as_int()
 
 

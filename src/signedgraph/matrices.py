@@ -13,8 +13,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
-import numpy as np
-
 from .core import EdgeKind, SgError, SignedGraph, enumerate_circles
 from .frame import is_independent
 
@@ -227,6 +225,8 @@ def matrix_tree(g: SignedGraph, n_cap=8) -> MatrixTreeReport:
 
 def spectrum(m, tol=1e-9):
     """Eigenvalues of a symmetric integer matrix, ascending."""
+    import numpy as np  # on first use: no other routine needs numpy
+
     arr = np.array(m, dtype=float)
     if arr.size and not np.array_equal(arr, arr.T):
         raise SgError("spectrum needs a symmetric matrix")

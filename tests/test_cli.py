@@ -116,7 +116,7 @@ def test_exit_codes(tmp_path, capsys):
     bad.write_text("sg 1\nn 2\nedge a 1 9 +\n")
     assert run(["balance", str(bad)]) == 1
     capsys.readouterr()
-    for nu in ("1/0", "x"):
+    for nu in ("1/0", "x", "1e400"):
         assert run(["gramian", SIGMA4, "--nu", nu]) == 1
         assert "--nu" in capsys.readouterr().err
 
@@ -181,3 +181,32 @@ def test_byte_identical_across_runs_and_threads(tmp_path):
             r4 = run_subprocess(argv, threads=4)
             assert r1.returncode == r2.returncode == r4.returncode == 0, (verb, r1.stderr)
             assert r1.stdout == r2.stdout == r4.stdout, verb
+
+
+NUMPY_AFTER_EACH = """
+import json, sys
+from signedgraph.cli import run
+loaded = {}
+for verb, extra in json.loads(sys.argv[1]):
+    assert run([verb, *extra]) == 0, verb
+    loaded[verb] = "numpy" in sys.modules
+print(json.dumps(loaded))
+"""
+
+
+def numpy_after_each(calls):
+    """Run the calls in order in one fresh interpreter; for each, whether
+    numpy was loaded after it."""
+    cmd = [sys.executable, "-c", NUMPY_AFTER_EACH, json.dumps(calls)]
+    r = subprocess.run(cmd, capture_output=True, env=cli_env())
+    assert r.returncode == 0, r.stderr
+    return json.loads(r.stdout.splitlines()[-1])
+
+
+def test_numpy_loads_only_for_spectrum_and_gramian(tmp_path):
+    inv = invocations(tmp_path)
+    spectral = ("spectrum", "gramian")
+    plain = sorted((verb, extra) for verb, extra in inv.items() if verb not in spectral)
+    loaded = numpy_after_each(plain + [("spectrum", inv["spectrum"])])
+    assert loaded == {verb: False for verb, _ in plain} | {"spectrum": True}
+    assert numpy_after_each([("gramian", inv["gramian"])]) == {"gramian": True}
