@@ -23,6 +23,7 @@ GOLDEN = os.path.join(HERE, "golden")
 SIGMA4 = os.path.join(HERE, "fixtures", "sigma4.sg")
 MIXED7 = os.path.join(HERE, "fixtures", "mixed7.sg")
 CYCLE30 = os.path.join(HERE, "fixtures", "cycle30.sg")
+BRIDGES13 = os.path.join(HERE, "fixtures", "bridges13.sg")
 PATH29 = ",".join(f"e{i}" for i in range(1, 30))
 
 CASES = {
@@ -73,6 +74,7 @@ CASES = {
     "balance-cycle30": ["balance", CYCLE30],
     "switch-cycle30": ["switch", CYCLE30, "--vertices", "2,3"],
     "balancing-edges-cycle30": ["balancing-edges", CYCLE30],
+    "balancing-edges-bridges13": ["balancing-edges", BRIDGES13],
     "contract-cycle30-path29": ["contract", CYCLE30, "--edges", PATH29],
     "rank-cycle30-path29": ["rank", CYCLE30, "--edges", PATH29],
     "closure-cycle30-path29": ["closure", CYCLE30, "--edges", PATH29],
