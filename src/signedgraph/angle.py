@@ -178,7 +178,11 @@ def construct_gramian(g: SignedGraph, nu, anti=False, tol=TOL):
         return AngleRepresentation((), nu, "antigramian" if anti else "gramian")
     if anti:
         a = -a
-    m = a + float(nu) * np.eye(g.n)
+    try:
+        shift = float(nu)
+    except OverflowError:
+        raise SgError("nu must be within float range") from None
+    m = a + shift * np.eye(g.n)
     w, vecs = np.linalg.eigh(m)
     if w.min() < -tol:
         return None

@@ -6,6 +6,19 @@ links gives the switching potential zeta that makes the tree all positive
 positive after switching by zeta and it carries no half edge.  The same
 potential gives the Harary bipartition and switching equivalence; the
 exponential circle-sign check lives only in the test suite.
+
+Balancing edges and vertices (Harary 1953; Zaslavsky, "Signed graphs", 1982)
+come from one DFS per component instead (`_frustration_counts`), which takes
+zeta along the DFS tree.  Then every non-tree link is a back link to an
+ancestor, and the elements that no switching can make positive are the
+frustrated ones: half edges, and non-tree links and loops that stay negative.
+Deleting an edge or vertex balances a component iff what is left of its
+frustrated elements can be made positive by switching the pieces the deletion
+cuts off, and subtree sums of the back links that cross each tree link decide
+that for every edge and vertex at once, in O(n + m).  The rules are stated
+on `classify_balancing_edges` and `balancing_vertices`; the definitional
+recomputations (one balance test per deleted edge or vertex) are their test
+oracles.
 """
 
 from __future__ import annotations
@@ -14,13 +27,16 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .core import (
+    DFS_BACK,
+    DFS_ROOT,
+    DFS_TREE,
     Edge,
     EdgeKind,
     SgError,
     SignedGraph,
+    _dfs,
     _link_adjacency,
     _potential,
-    delete_vertices,
     enumerate_circles,
     edge_set_sign,
 )
@@ -108,7 +124,9 @@ def switching_equivalent(g1: SignedGraph, g2: SignedGraph):
     """A switching function zeta with g1^zeta == g2, or None.
 
     zeta is the switching potential of the common underlying graph signed
-    by sigma1(e) sigma2(e), verified against every edge.
+    by sigma1(e) sigma2(e), verified as zeta(u) sigma1(e) zeta(v) = sigma2(e)
+    on every link and loop, matched by id: edge order and the order of a
+    link's ends do not matter.
     """
     if not _same_underlying(g1, g2):
         raise SgError("graphs have different underlying graphs")
@@ -116,35 +134,175 @@ def switching_equivalent(g1: SignedGraph, g2: SignedGraph):
         Edge(e.id, e.kind, e.ends, e.sign * g2.edge(e.id).sign) if e.is_ordinary else e
         for e in g1.edges
     )
-    zeta = dict(enumerate(_potential(product)[0]))
-    if switch(g1, zeta).edges == g2.edges:
-        return zeta
-    return None
+    zeta = _potential(product)[0]
+    for e in g1.edges:
+        if e.is_ordinary:
+            u, v = e.ends
+            if zeta[u] * e.sign * zeta[v] != g2.edge(e.id).sign:
+                return None
+    return dict(enumerate(zeta))
+
+
+@dataclass
+class _FrustrationCounts:
+    """Counts from one DFS per component (`_frustration_counts`), per vertex
+    v.  subtree(v) is v's DFS subtree; a back link leaves subtree(v) when its
+    lower end is inside and its upper end above v."""
+
+    root: list  # lowest vertex of v's component
+    parent: list  # v's parent vertex, None at a root
+    child: dict  # tree link id -> its lower end
+    frustrated: set  # ids of the frustrated elements
+    fixed: list  # half edges and negative loops at v
+    low_fr: list  # frustrated back links whose lower end is v
+    below_fr: list  # frustrated elements counted at a vertex of subtree(v)
+    cross: list  # back links leaving subtree(v)
+    cross_fr: list  # frustrated back links leaving subtree(v)
+    up: list  # back links leaving subtree(v) that end at v's parent
+    up_fr: list  # frustrated ones among them
+
+    def unbalanced(self):
+        """Roots of the components with a frustrated element."""
+        return [r for r, rr in enumerate(self.root) if r == rr and self.below_fr[r]]
+
+
+def _frustration_counts(g: SignedGraph) -> _FrustrationCounts:
+    """Take zeta along one DFS tree per component, so that every non-tree
+    link is a back link from a vertex to one of its ancestors, and count the
+    frustrated elements: half edges, and non-tree links and loops with
+    zeta(u) sigma(e) zeta(v) = -1.  A back link adds +1 at its lower end and
+    -1 at its upper end, so subtree sums count the links leaving a subtree;
+    it is also recorded at the child of its upper end on the tree path.  A
+    frustrated element is counted at its lower end (or its only vertex)."""
+    n = g.n
+    fixed = [0] * n
+    frustrated = set()
+    for e in g.edges:
+        if e.kind is EdgeKind.HALF or (e.kind is EdgeKind.LOOP and e.sign < 0):
+            fixed[e.ends[0]] += 1
+            frustrated.add(e.id)
+    zeta = [1] * n
+    depth = [0] * n
+    root = list(range(n))
+    parent = [None] * n
+    child = {}
+    low_fr = [0] * n
+    below_fr = fixed.copy()
+    cross, cross_fr, up, up_fr = ([0] * n for _ in range(4))
+    path = []  # the tree path from the current root to the current vertex
+    for step, v, e, w in _dfs(_link_adjacency(n, g.edges)):
+        if step == DFS_TREE:
+            zeta[w] = zeta[v] * e.sign
+            depth[w] = depth[v] + 1
+            root[w] = root[v]
+            parent[w] = v
+            child[e.id] = w
+            path.append(w)
+        elif step == DFS_BACK:
+            below = path[depth[w] + 1]  # the child of w towards v
+            cross[v] += 1
+            cross[w] -= 1
+            up[below] += 1
+            if zeta[v] * e.sign * zeta[w] < 0:
+                frustrated.add(e.id)
+                low_fr[v] += 1
+                below_fr[v] += 1
+                cross_fr[v] += 1
+                cross_fr[w] -= 1
+                up_fr[below] += 1
+        elif step == DFS_ROOT:
+            path.append(w)
+        else:  # w's subtree is complete: add its sums to its parent v
+            path.pop()
+            if v is not None:
+                below_fr[v] += below_fr[w]
+                cross[v] += cross[w]
+                cross_fr[v] += cross_fr[w]
+    return _FrustrationCounts(
+        root, parent, child, frustrated, fixed, low_fr, below_fr, cross, cross_fr, up, up_fr
+    )
 
 
 def classify_balancing_edges(g: SignedGraph):
-    """Map each edge to 'none', 'partial', or 'total' (definitional recomputation)."""
-    base = balance_partition(g)
+    """Map each edge id, in file order, to 'total' (deleting it balances the
+    graph), 'partial' (deleting it leaves the graph unbalanced but raises
+    b, the number of balanced components) or 'none'.
+
+    From one DFS per component (`_frustration_counts`), with F(K) the number
+    of frustrated elements of component K and U the number of components
+    with F > 0:
+
+    - if U = 0 every edge is 'none'; loose edges and positive loops always are;
+    - a non-tree element e balances K iff e is frustrated and F(K) = 1;
+    - a tree link to child c that no back link crosses is a bridge: it is
+      'partial' iff F(K) = 0 or subtree(c) holds 0 or F(K) frustrated
+      elements, and never 'total';
+    - any other tree link to c balances K iff the back links crossing it are
+      exactly the F(K) frustrated elements of K;
+    - an edge that balances K is 'total' if U = 1 and 'partial' otherwise.
+
+    O(n + m).
+    """
+    k = _frustration_counts(g)
+    n_unbalanced = len(k.unbalanced())
     out = {}
     for e in g.edges:
-        rest = g.edge_ids - {e.id}
-        part = balance_partition(g, rest)
-        if not base.v0 and not part.v0:
-            out[e.id] = "none"
-        elif not part.v0:
-            out[e.id] = "total"
-        elif part.b > base.b:
-            out[e.id] = "partial"
+        out[e.id] = "none"
+        if not n_unbalanced or e.kind is EdgeKind.LOOSE:
+            continue
+        f = k.below_fr[k.root[e.ends[0]]]
+        child = k.child.get(e.id)
+        if child is None:
+            balances = f == 1 and e.id in k.frustrated
+        elif not k.cross[child]:
+            if f == 0 or k.below_fr[child] in (0, f):
+                out[e.id] = "partial"
+            continue
         else:
-            out[e.id] = "none"
+            balances = k.cross_fr[child] == k.cross[child] == f
+        if balances:
+            out[e.id] = "total" if n_unbalanced == 1 else "partial"
     return out
 
 
 def balancing_vertices(g: SignedGraph) -> frozenset:
-    """Vertices v with g - v balanced although g is unbalanced."""
-    if is_balanced(g):
+    """Vertices v with g - v balanced although g is unbalanced.
+
+    From the counts of `_frustration_counts`, v is balancing iff:
+
+    - exactly one component K is unbalanced, and v lies in K;
+    - every half edge and negative loop of K is at v;
+    - for each child x of v, the back links from subtree(x) that pass above
+      v are all frustrated or none of them are;
+    - the frustrated back links not incident to v are exactly those that
+      pass above v.
+
+    Deleting v leaves subtree(x) joined to the rest of K only by the back
+    links that pass above v, so switching subtree(x) or not fixes those;
+    every other remaining link keeps its frustration.  O(n + m).
+    """
+    k = _frustration_counts(g)
+    unbalanced = k.unbalanced()
+    if len(unbalanced) != 1:
         return frozenset()
-    return frozenset(v for v in range(g.n) if is_balanced(delete_vertices(g, [v])))
+    (r,) = unbalanced
+    inside = [v for v in range(g.n) if k.root[v] == r]
+    fixed = sum(k.fixed[v] for v in inside)
+    back_fr = k.below_fr[r] - fixed
+    children_fr = [0] * g.n  # frustrated back links leaving the children's subtrees
+    mixed = [False] * g.n  # a child's back links above v are partly frustrated
+    for x in inside:
+        v = k.parent[x]
+        if v is None:
+            continue
+        children_fr[v] += k.cross_fr[x]
+        if k.cross_fr[x] - k.up_fr[x] not in (0, k.cross[x] - k.up[x]):
+            mixed[v] = True
+    return frozenset(
+        v
+        for v in inside
+        if k.fixed[v] == fixed and not mixed[v] and back_fr - k.low_fr[v] == children_fr[v]
+    )
 
 
 def min_balancing_set(g: SignedGraph, cap=DEFAULT_BALANCING_CAP) -> frozenset:
@@ -188,8 +346,8 @@ def blocks(g: SignedGraph):
     """Blocks as edge sets (plus isolated vertices as ({v}, empty)).
 
     Loops and half edges are single-edge blocks at their vertex; loose edges
-    belong to no block.  Links are grouped by the standard cut-vertex DFS,
-    run with an explicit stack so that long paths need no deep recursion.
+    belong to no block.  Links are grouped by the standard cut-vertex DFS
+    (`core._dfs`), and each block is listed when the DFS closes it.
     """
     adj = _link_adjacency(g.n, g.edges)
     out = [
@@ -199,45 +357,31 @@ def blocks(g: SignedGraph):
     ]
     at_loop_or_half = {v for vs, _ in out for v in vs}
 
-    disc = [-1] * g.n
+    disc = [0] * g.n
     low = [0] * g.n
     counter = 0
     stack = []  # links of the blocks not yet closed
-    for r in range(g.n):
-        if disc[r] >= 0:
-            continue
-        disc[r] = low[r] = counter
-        counter += 1
-        frames = [(r, None, iter(adj[r]))]  # (vertex, link from parent, links left)
-        while frames:
-            v, via, todo = frames[-1]
-            for e, w in todo:
-                if e is via:
-                    continue
-                if disc[w] < 0:
-                    stack.append(e)
-                    disc[w] = low[w] = counter
-                    counter += 1
-                    frames.append((w, e, iter(adj[w])))
-                    break
-                if disc[w] < disc[v]:
-                    stack.append(e)
-                    low[v] = min(low[v], disc[w])
-            else:
-                frames.pop()
-                if not frames:
-                    continue
-                u = frames[-1][0]
-                low[u] = min(low[u], low[v])
-                if low[v] >= disc[u]:  # u separates the block entered by via
-                    block = []
-                    while True:
-                        top = stack.pop()
-                        block.append(top)
-                        if top is via:
-                            break
-                    verts = frozenset(x for b in block for x in b.ends)
-                    out.append((verts, frozenset(b.id for b in block)))
-        if not adj[r] and r not in at_loop_or_half:
-            out.append((frozenset([r]), frozenset()))
+    for step, v, e, w in _dfs(adj):
+        if step == DFS_ROOT or step == DFS_TREE:
+            disc[w] = low[w] = counter
+            counter += 1
+            if e is not None:
+                stack.append(e)
+        elif step == DFS_BACK:
+            stack.append(e)
+            low[v] = min(low[v], disc[w])
+        elif v is None:  # a root is done
+            if not adj[w] and w not in at_loop_or_half:
+                out.append((frozenset([w]), frozenset()))
+        else:
+            low[v] = min(low[v], low[w])
+            if low[w] >= disc[v]:  # v separates the block entered by e
+                block = []
+                while True:
+                    top = stack.pop()
+                    block.append(top)
+                    if top is e:
+                        break
+                verts = frozenset(x for b in block for x in b.ends)
+                out.append((verts, frozenset(b.id for b in block)))
     return out

@@ -275,6 +275,51 @@ def _bfs_forest(adj):
     return parent, root, depth
 
 
+DFS_ROOT, DFS_TREE, DFS_BACK, DFS_DONE = range(4)
+
+
+def _dfs(adj):
+    """Depth-first search of a link adjacency with an explicit stack, so
+    that long paths need no deep recursion.  Roots are taken in vertex order
+    and neighbours in adjacency order.  Yields steps (step, v, e, w):
+
+    - (DFS_ROOT, None, None, r): a new tree starts at r;
+    - (DFS_TREE, v, e, w): link e discovers w as a child of v;
+    - (DFS_BACK, v, e, w): non-tree link e runs from v up to its ancestor w,
+      reported once, from its lower end;
+    - (DFS_DONE, v, e, w): the subtree of w is finished; v is w's parent and
+      e the tree link between them (both None at a root).
+
+    Every non-tree link of an undirected DFS joins a vertex to an ancestor.
+    """
+    n = len(adj)
+    disc = [-1] * n
+    counter = 0
+    for r in range(n):
+        if disc[r] >= 0:
+            continue
+        disc[r] = counter
+        counter += 1
+        yield DFS_ROOT, None, None, r
+        frames = [(r, None, iter(adj[r]))]  # (vertex, link from parent, links left)
+        while frames:
+            v, via, todo = frames[-1]
+            for e, w in todo:
+                if e is via:
+                    continue
+                if disc[w] < 0:
+                    disc[w] = counter
+                    counter += 1
+                    yield DFS_TREE, v, e, w
+                    frames.append((w, e, iter(adj[w])))
+                    break
+                if disc[w] < disc[v]:
+                    yield DFS_BACK, v, e, w
+            else:
+                frames.pop()
+                yield DFS_DONE, (frames[-1][0] if frames else None), via, v
+
+
 def _potential(g: SignedGraph, s=None):
     """Switching potential of (V, s) from one BFS over the links of s.
 

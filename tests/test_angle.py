@@ -148,6 +148,12 @@ def test_construct_gramian_iff_eigenvalue_bound():
                     assert rep is None
 
 
+def test_construct_gramian_rejects_nu_beyond_float_range():
+    g = SignedGraph(3, [link("a", 0, 1, 1), link("b", 1, 2, -1)])
+    with pytest.raises(SgError, match="float range"):
+        construct_gramian(g, Fraction(10) ** 400)
+
+
 def test_construct_rejects_non_simple(sigma4):
     with pytest.raises(SgError):
         construct_gramian(sigma4, 2)

@@ -2,6 +2,7 @@ import pytest
 
 from signedgraph import (
     Edge,
+    EdgeKind,
     SgError,
     SignedGraph,
     balance_partition,
@@ -15,11 +16,14 @@ from signedgraph import (
     is_balanced,
     link,
     loop,
+    loose,
     min_balancing_set,
     switch,
     switch_set,
     switching_equivalent,
 )
+from signedgraph.balance import _frustration_counts
+from signedgraph.core import delete_vertices
 from conftest import balance_oracle, random_graph, seeded
 
 
@@ -152,11 +156,48 @@ def test_switching_equivalent_recovers_planted_potential():
             assert switching_equivalent(g, broken) is None
 
 
+def test_switching_equivalent_ignores_edge_order_and_link_end_order():
+    g1 = SignedGraph(4, neg_triangle() + [link("p", 2, 3, -1), half("h", 3)])
+    g2 = switch_set(g1, [1, 3])
+    reordered = g2.with_edges(reversed(g2.edges))
+    flipped = g2.with_edges(
+        Edge(e.id, e.kind, e.ends[::-1], e.sign) for e in g2.edges
+    )
+    for other in (reordered, flipped):
+        zeta = switching_equivalent(g1, other)
+        assert zeta == {0: 1, 1: -1, 2: 1, 3: -1}
+        assert switch(g1, zeta).edges == g2.edges
+
+
 def test_partition_b_counts_components():
     g = SignedGraph(5, neg_triangle() + [link("x", 3, 4, -1)])
     part = balance_partition(g)
     assert part.b == 1  # only the 3-4 component is balanced
     assert part.v0 == frozenset({0, 1, 2})
+
+
+def classify_balancing_edges_oracle(g):
+    """Definitional classes: one balance test per deleted edge."""
+    base = balance_partition(g)
+    out = {}
+    for e in g.edges:
+        part = balance_partition(g, g.edge_ids - {e.id})
+        if not base.v0 and not part.v0:
+            out[e.id] = "none"
+        elif not part.v0:
+            out[e.id] = "total"
+        elif part.b > base.b:
+            out[e.id] = "partial"
+        else:
+            out[e.id] = "none"
+    return out
+
+
+def balancing_vertices_oracle(g):
+    """Definitional balancing vertices: one balance test per deleted vertex."""
+    if is_balanced(g):
+        return frozenset()
+    return frozenset(v for v in range(g.n) if is_balanced(delete_vertices(g, [v])))
 
 
 def test_classify_balancing_edges_unbalanced_triangle():
@@ -185,6 +226,97 @@ def test_balancing_vertices():
     # two disjoint negative triangles joined by a path: no single vertex works
     g2 = SignedGraph(6, neg_triangle(0) + neg_triangle(3) + [link("j", 2, 3, 1)])
     assert balancing_vertices(g2) == frozenset()
+
+
+def _tree_like_graph(rng, n_max=30):
+    """A random forest with a few extra elements of every kind: many bridges,
+    and often several unbalanced components."""
+    n = rng.randint(1, n_max)
+    edges = [
+        link(f"t{v}", rng.randrange(v), v, rng.choice([1, -1]))
+        for v in range(1, n)
+        if rng.random() < 0.85
+    ]
+    for i in range(rng.randint(0, 4)):
+        roll, v = rng.random(), rng.randrange(n)
+        if roll < 0.55 and n >= 2:
+            w = rng.choice([x for x in range(n) if x != v])
+            edges.append(link(f"x{i}", v, w, rng.choice([1, -1])))
+        elif roll < 0.75:
+            edges.append(loop(f"x{i}", v, rng.choice([1, -1])))
+        elif roll < 0.9:
+            edges.append(half(f"x{i}", v))
+        else:
+            edges.append(loose(f"x{i}"))
+    edges = [edges[i] for i in rng.sample(range(len(edges)), len(edges))]
+    return SignedGraph(n, edges)
+
+
+def _edge_rule_case(k, e, cls):
+    """Which branch of the edge rule decides e, with the component's state
+    and the class it got."""
+    n_unbalanced = len(k.unbalanced())
+    state = "U=0" if not n_unbalanced else "U=1" if n_unbalanced == 1 else "U>1"
+    if e.kind is EdgeKind.LOOSE:
+        return ("loose", state, cls)
+    child = k.child.get(e.id)
+    if child is None:
+        return ("non-tree", state, cls)
+    if k.cross[child]:
+        return ("tree", state, cls)
+    balanced = k.below_fr[k.root[child]] == 0
+    return ("bridge", state, "balanced K" if balanced else "unbalanced K", cls)
+
+
+def test_balancing_edges_and_vertices_vs_oracles():
+    rng = seeded(104)
+    graphs = [random_graph(rng, n_max=9, m_max=14) for _ in range(2000)]
+    graphs += [random_graph(rng, n_max=9, m_max=6) for _ in range(500)]
+    graphs += [_tree_like_graph(rng) for _ in range(1000)]
+    cases = set()
+    several_unbalanced = 0
+    for g in graphs:
+        cls = classify_balancing_edges(g)
+        assert cls == classify_balancing_edges_oracle(g)
+        assert list(cls) == [e.id for e in g.edges]
+        assert balancing_vertices(g) == balancing_vertices_oracle(g)
+        k = _frustration_counts(g)
+        several_unbalanced += len(k.unbalanced()) > 1
+        cases |= {_edge_rule_case(k, e, cls[e.id]) for e in g.edges}
+    assert several_unbalanced >= 200
+    expected = {("loose", state, "none") for state in ("U=0", "U=1", "U>1")}
+    for branch in ("non-tree", "tree"):
+        expected |= {
+            (branch, "U=0", "none"),
+            (branch, "U=1", "total"),
+            (branch, "U=1", "none"),
+            (branch, "U>1", "partial"),
+            (branch, "U>1", "none"),
+        }
+    expected |= {
+        ("bridge", "U=0", "balanced K", "none"),
+        ("bridge", "U=1", "balanced K", "partial"),
+        ("bridge", "U>1", "balanced K", "partial"),
+        ("bridge", "U=1", "unbalanced K", "partial"),
+        ("bridge", "U=1", "unbalanced K", "none"),
+        ("bridge", "U>1", "unbalanced K", "partial"),
+        ("bridge", "U>1", "unbalanced K", "none"),
+    }
+    assert cases == expected
+
+
+def test_balancing_edges_and_vertices_of_a_long_cycle_need_no_recursion(monkeypatch):
+    import sys
+
+    def refuse(limit):
+        raise AssertionError("the balancing routines must not change the recursion limit")
+
+    monkeypatch.setattr(sys, "setrecursionlimit", refuse)
+    n = 30000
+    edges = [link(f"c{i}", i, (i + 1) % n, -1 if i == n // 2 else 1) for i in range(n)]
+    g = SignedGraph(n, edges)
+    assert classify_balancing_edges(g) == {e.id: "total" for e in edges}
+    assert balancing_vertices(g) == frozenset(range(n))
 
 
 def test_min_balancing_set():
