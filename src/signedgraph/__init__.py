@@ -29,9 +29,8 @@ _EXPORTS = {
     ),
     "minors": ("MinorTrace", "contract_edge", "contract_set", "delete_edges"),
     "frame": (
-        "ClosedSetLattice", "FrameCircuit", "balance_closure", "closed_sets", "closure",
-        "closure_by_circuits", "enumerate_frame_circuits", "is_frame_circuit",
-        "is_independent", "rank",
+        "ClosedSetLattice", "FrameCircuit", "closed_sets", "closure",
+        "enumerate_frame_circuits", "is_frame_circuit", "is_independent", "rank",
     ),
     "matrices": (
         "MatrixTreeReport", "adjacency_matrix", "bareiss_determinant", "degree_matrix",
@@ -41,14 +40,12 @@ _EXPORTS = {
     "polynomial": ("IntPolynomial", "format_polynomial"),
     "orientation": (
         "BidirectedGraph", "Hyperplane", "RegionReport", "arrangement",
-        "characteristic_polynomial", "count_regions_by_sign_vectors",
-        "enumerate_acyclic", "is_acyclic", "orient", "region_count",
-        "region_witness_point",
+        "characteristic_polynomial", "enumerate_acyclic", "is_acyclic", "orient",
+        "region_count", "region_witness_point",
     ),
     "coloring": (
-        "catalog", "chromatic_numbers", "chromatic_poly_delcon", "chromatic_poly_subset",
-        "chromatic_via_expansion", "color_pair_capacity", "count_proper", "is_proper",
-        "make_full", "make_signed", "make_signed_expansion", "max_used_pairs_bruteforce",
+        "catalog", "chromatic_numbers", "chromatic_poly_delcon", "color_pair_capacity",
+        "count_proper", "is_proper", "make_full", "make_signed", "make_signed_expansion",
         "plus_minus_kn", "plus_minus_kn_full", "unsigned_chromatic",
     ),
     "linegraph": (
@@ -60,6 +57,10 @@ _EXPORTS = {
         "AngleRepresentation", "RootSystem", "construct_gramian",
         "membership_in_root_system", "normalize", "root_system",
         "verify_representation",
+    ),
+    "oracles": (
+        "balance_closure", "chromatic_poly_subset", "chromatic_via_expansion",
+        "closure_by_circuits", "count_regions_by_sign_vectors", "max_used_pairs_bruteforce",
     ),
     "cli": (),
 }

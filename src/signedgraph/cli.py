@@ -295,13 +295,7 @@ def cmd_charpoly(args):
 
 
 def cmd_chromatic(args):
-    from .coloring import (
-        chromatic_numbers,
-        chromatic_poly_delcon,
-        chromatic_poly_subset,
-        chromatic_via_expansion,
-        count_proper,
-    )
+    from .coloring import chromatic_numbers, chromatic_poly_delcon, count_proper
     from .polynomial import format_polynomial
 
     g = _load(args)
@@ -318,10 +312,15 @@ def cmd_chromatic(args):
                 "--algorithm expansion computes chi only; "
                 "use --algorithm delcon or subset for chi* (--zero-free)"
             )
+        from .oracles import chromatic_via_expansion
+
         p = chromatic_via_expansion(g)
+    elif args.algorithm == "subset":
+        from .oracles import chromatic_poly_subset
+
+        p = chromatic_poly_subset(g, zero_free=zf)
     else:
-        algorithm = {"delcon": chromatic_poly_delcon, "subset": chromatic_poly_subset}
-        p = algorithm[args.algorithm](g, zero_free=zf)
+        p = chromatic_poly_delcon(g, zero_free=zf)
     chi, chi_star = chromatic_numbers(g)
     lines = [format_polynomial(p)]
     lines.append(f"chromatic-number: {chi}, zero-free: {chi_star}")

@@ -1,5 +1,7 @@
-"""Colorations of signed graphs, chromatic polynomials by three independent
-algorithms, chromatic numbers, and the catalog of derived-graph families.
+"""Colorations of signed graphs, the chromatic polynomial by deletion-
+contraction, chromatic numbers, and the catalog of derived-graph families.
+The subset expansion and the zero-free expansion over stable sets, which
+cross-check deletion-contraction, are in `oracles`.
 
 Colors live in {-k..-1, 0, 1..k}; the two polynomials are evaluated at
 lambda = 2k+1 (with zero) and lambda = 2k (zero-free).  Half-integer
@@ -14,8 +16,8 @@ from fractions import Fraction
 from itertools import combinations, product, zip_longest
 from math import comb
 
-from .core import EdgeKind, SgError, SignedGraph, _find, delete_vertices, half, link, loop
-from .balance import balance_partition
+from .core import EdgeKind, SgError, SignedGraph, _find, half, link, loop
+from .minors import contract_set
 from .polynomial import IntPolynomial
 
 DEFAULT_COUNT_CAP = 2_000_000
@@ -131,60 +133,6 @@ def chromatic_poly_delcon(g: SignedGraph, zero_free=False) -> IntPolynomial:
 
 
 # ---------------------------------------------------------------------------
-# subset expansion
-
-
-def chromatic_poly_subset(g: SignedGraph, zero_free=False, edge_cap=20) -> IntPolynomial:
-    """Sum over edge subsets of (-1)^|S| lambda^{b(S)} (balanced S only for
-    the zero-free polynomial)."""
-    ids = sorted(g.edge_ids)
-    if len(ids) > edge_cap:
-        raise SgError(f"subset-expansion cap exceeded ({len(ids)} > {edge_cap})")
-    coeffs = [0] * (g.n + 1)
-    for mask in range(1 << len(ids)):
-        s = frozenset(ids[i] for i in range(len(ids)) if mask >> i & 1)
-        part = balance_partition(g, s)
-        if zero_free and part.v0:
-            continue
-        sign = -1 if bin(mask).count("1") % 2 else 1
-        coeffs[part.b] += sign
-    return IntPolynomial(coeffs)
-
-
-# ---------------------------------------------------------------------------
-# zero-free expansion over stable sets
-
-
-def stable_vertex_sets(g: SignedGraph):
-    """Vertex sets W such that no non-loose edge has all endpoints inside W."""
-    out = []
-    for r in range(g.n + 1):
-        for combo in combinations(range(g.n), r):
-            w = frozenset(combo)
-            if all(
-                not e.ends or not all(v in w for v in e.ends)
-                for e in g.edges
-                if e.kind is not EdgeKind.LOOSE
-            ):
-                out.append(w)
-    return out
-
-
-def chromatic_via_expansion(g: SignedGraph) -> IntPolynomial:
-    """chi(lambda) = sum over stable W of chi*_{g - W}(lambda - 1); the sum
-    is taken first and shifted once.  One deletion-contraction memo serves
-    every g - W, since its key is the whole constraint state."""
-    total = IntPolynomial.zero()
-    memo = {}
-    for w in stable_vertex_sets(g):
-        h = delete_vertices(g, w)
-        cons = _constraints(h, True)
-        if cons is not None:
-            total = total + IntPolynomial(_delcon((h.n, cons), True, memo))
-    return total.compose_affine(1, -1).as_int()
-
-
-# ---------------------------------------------------------------------------
 # chromatic numbers
 
 
@@ -207,22 +155,16 @@ def chromatic_numbers(g: SignedGraph):
 
 
 def unsigned_chromatic(n, edge_list) -> IntPolynomial:
-    """Chromatic polynomial of an unsigned graph by deletion-contraction.
+    """Chromatic polynomial of an unsigned graph Gamma: chi of +Gamma, whose
+    proper colorations in {-k..k} are the proper (2k+1)-colorings of Gamma.
 
     edge_list: tuples (u, v); loops kill the polynomial; multi-edges collapse.
     """
-    edges = sorted({tuple(sorted(e)) for e in edge_list})
-    if any(u == v for u, v in edges):
-        return IntPolynomial.zero()
-    if not edges:
-        return IntPolynomial.monomial(n)
-    (u, v), rest = edges[0], edges[1:]
-    deleted = unsigned_chromatic(n, rest)
-    relabel = {w: (u if w == v else (w if w < v else w - 1)) for w in range(n)}
-    contracted = unsigned_chromatic(
-        n - 1, [(relabel[a], relabel[b]) for a, b in rest]
-    )
-    return deleted - contracted
+    edges = [
+        loop(f"e{i + 1}", u, 1) if u == v else link(f"e{i + 1}", u, v, 1)
+        for i, (u, v) in enumerate(edge_list)
+    ]
+    return chromatic_poly_delcon(SignedGraph(n, edges))
 
 
 def unsigned_flats(n, edge_list):
@@ -243,23 +185,6 @@ def unsigned_flats(n, edge_list):
         if closed:
             flats.append(mask)
     return flats
-
-
-def unsigned_contract(n, edge_list, flat_mask):
-    """(n', edges') after contracting the edges selected by flat_mask."""
-    edges = list(edge_list)
-    parent = list(range(n))
-    for i, (u, v) in enumerate(edges):
-        if flat_mask >> i & 1:
-            parent[_find(parent, u)] = _find(parent, v)
-    reps = sorted({_find(parent, v) for v in range(n)})
-    idx = {r: i for i, r in enumerate(reps)}
-    new_edges = [
-        (idx[_find(parent, u)], idx[_find(parent, v)])
-        for i, (u, v) in enumerate(edges)
-        if not flat_mask >> i & 1
-    ]
-    return len(reps), new_edges
 
 
 # ---------------------------------------------------------------------------
@@ -363,11 +288,12 @@ def catalog(family, base=None, n=None, edge_list=None):
         # flat-sum: for each flat F, colorings factor into a proper coloring of
         # the contraction by absolute value (lambda/2 magnitudes) and a free
         # sign per contracted vertex, hence the 2^(order of the contraction)
+        plus = make_signed(n, edge_list, 1)
         star = IntPolynomial.zero()
         for flat in unsigned_flats(n, edge_list):
-            n2, e2 = unsigned_contract(n, edge_list, flat)
-            term = unsigned_chromatic(n2, e2).compose_affine(Fraction(1, 2), 0)
-            star = star + term.scale(2**n2)
+            h, _ = contract_set(plus, [e.id for i, e in enumerate(plus.edges) if flat >> i & 1])
+            term = chromatic_poly_delcon(h).compose_affine(Fraction(1, 2), 0)
+            star = star + term.scale(2**h.n)
         return g, None, star.as_int()
 
     if family == "signed_expansion":
@@ -415,23 +341,6 @@ def color_pair_capacity(n, edge_list) -> int:
     plain minimum-k chromatic number of an all-negative graph is always 1
     (a constant coloration is proper)."""
     return max_matching_size(n, complement_edges(n, edge_list))
-
-
-def max_used_pairs_bruteforce(n, edge_list, k, cap=DEFAULT_COUNT_CAP) -> int:
-    """Max over proper zero-free k-colorations of the all-negative graph of
-    the number of magnitudes used with both signs.  Oracle for
-    color_pair_capacity."""
-    g = make_signed(n, edge_list, -1)
-    colors = [c for c in range(-k, k + 1) if c != 0]
-    if len(colors) ** n > cap:
-        raise SgError("brute-force cap exceeded")
-    best = 0
-    for gamma in product(colors, repeat=n):
-        if not is_proper(g, gamma):
-            continue
-        used = set(gamma)
-        best = max(best, sum(1 for m in range(1, k + 1) if m in used and -m in used))
-    return best
 
 
 def complement_edges(n, edge_list):

@@ -8,11 +8,13 @@ function, so concurrent use is safe.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable, Optional
 
 DEFAULT_CIRCLE_CAP = 20
+_id_ok = re.compile(r"[^\s#,]+").fullmatch
 
 
 class SgError(Exception):
@@ -26,11 +28,17 @@ class EdgeKind(Enum):
     LOOSE = "loose"
 
 
+# read faster than EdgeKind members by Edge.__post_init__, run for every edge built
+_LINK, _LOOP, _HALF = EdgeKind.LINK, EdgeKind.LOOP, EdgeKind.HALF
+
+
 @dataclass(frozen=True)
 class Edge:
     """One edge: a link (2 distinct ends), loop (2 equal ends), half (1), or loose (0).
 
     Links and loops carry a sign in {+1, -1}; half and loose edges are unsigned.
+    The id is a nonempty string without whitespace, "#" or ",": parse splits
+    on whitespace and cuts at "#", and CLI edge lists split on ",".
     """
 
     id: str
@@ -39,24 +47,25 @@ class Edge:
     sign: Optional[int] = None
 
     def __post_init__(self):
-        k = self.kind
-        if k is EdgeKind.LINK:
-            if len(self.ends) != 2 or self.ends[0] == self.ends[1]:
-                raise SgError(f"link {self.id!r} needs two distinct endpoints")
-        elif k is EdgeKind.LOOP:
-            if len(self.ends) != 2 or self.ends[0] != self.ends[1]:
-                raise SgError(f"loop {self.id!r} needs two equal endpoints")
-        elif k is EdgeKind.HALF:
-            if len(self.ends) != 1:
-                raise SgError(f"half edge {self.id!r} needs one endpoint")
-        else:
-            if len(self.ends) != 0:
-                raise SgError(f"loose edge {self.id!r} has no endpoints")
-        if self.is_ordinary:
-            if self.sign not in (1, -1):
-                raise SgError(f"edge {self.id!r} needs a sign in {{+1,-1}}")
-        elif self.sign is not None:
-            raise SgError(f"{k.name.lower()} edge {self.id!r} cannot carry a sign")
+        eid, k, ends, sign = self.id, self.kind, self.ends, self.sign
+        if not isinstance(eid, str) or not _id_ok(eid):
+            raise SgError(f"bad edge id {eid!r}: need a nonempty string without whitespace, '#', ','")
+        if k is _LINK:
+            if len(ends) != 2 or ends[0] == ends[1]:
+                raise SgError(f"link {eid!r} needs two distinct endpoints")
+        elif k is _LOOP:
+            if len(ends) != 2 or ends[0] != ends[1]:
+                raise SgError(f"loop {eid!r} needs two equal endpoints")
+        elif k is _HALF:
+            if len(ends) != 1:
+                raise SgError(f"half edge {eid!r} needs one endpoint")
+        elif len(ends) != 0:
+            raise SgError(f"loose edge {eid!r} has no endpoints")
+        if k is _LINK or k is _LOOP:
+            if sign not in (1, -1):
+                raise SgError(f"edge {eid!r} needs a sign in {{+1,-1}}")
+        elif sign is not None:
+            raise SgError(f"{k.name.lower()} edge {eid!r} cannot carry a sign")
 
     @property
     def is_ordinary(self):

@@ -3,8 +3,8 @@
 Half edges are treated exactly as negative loops throughout: a "negative
 circle" in a handcuff may be a half edge.  Rank and closure come from the
 switching potential of S (`core._potential`), so both are linear in n + m
-and need no circle cap; `balance_closure` and `closure_by_circuits` are the
-definitional circle- and circuit-based routes kept to cross-check them.
+and need no circle cap.  Their definitional circle- and circuit-based
+cross-checks, `balance_closure` and `closure_by_circuits`, are in `oracles`.
 """
 
 from __future__ import annotations
@@ -105,26 +105,6 @@ def is_frame_circuit(g: SignedGraph, s):
     return None
 
 
-def _loose_ids(g: SignedGraph):
-    return frozenset(e.id for e in g.edges if e.kind is EdgeKind.LOOSE)
-
-
-def balance_closure(g: SignedGraph, s, cap=20) -> frozenset:
-    """bcl(S): add every edge completing a positive circle inside S, plus
-    loose edges."""
-    s = frozenset(s)
-    g.restricted(s)
-    out = set(s) | _loose_ids(g)
-    for e in g.edges:
-        if e.id in out or not e.is_ordinary:
-            continue
-        for c in enumerate_circles(g, s | {e.id}, cap=cap + 1):
-            if e.id in c and edge_set_sign(g, c) == 1:
-                out.add(e.id)
-                break
-    return frozenset(out)
-
-
 def closure(g: SignedGraph, s) -> frozenset:
     """clos(S): loose edges, every edge with all its ends in V0(S), and every
     link or loop inside one balanced component of S that is positive after
@@ -138,22 +118,6 @@ def closure(g: SignedGraph, s) -> frozenset:
             u, v = e.ends
             if root[u] == root[v] and zeta[u] * e.sign * zeta[v] == 1:
                 out.add(e.id)
-    return frozenset(out)
-
-
-def closure_by_circuits(g: SignedGraph, s) -> frozenset:
-    """The frame-circuit form of closure: S plus every e lying on a frame
-    circuit inside S + e.  Equal to closure(); kept as the independent route."""
-    s = frozenset(s)
-    out = set(s)
-    for e in g.edges:
-        if e.id in out:
-            continue
-        sub = g.with_edges(g.restricted(s | {e.id}))
-        for fc in enumerate_frame_circuits(sub, n_cap=sub.n, edge_cap=len(s) + 1):
-            if e.id in fc.edge_set:
-                out.add(e.id)
-                break
     return frozenset(out)
 
 

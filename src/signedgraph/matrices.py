@@ -1,5 +1,6 @@
 """Exact edge vectors, incidence/adjacency/Laplacian matrices, rational rank,
-the signed Matrix-Tree identity, and floating-point spectra.
+the signed Matrix-Tree identity, and floating-point spectra.  The GF(2)
+rank used by the tests' characteristic-2 checks is in `oracles`.
 
 Matrices are plain nested lists of Python ints (exact, arbitrary precision);
 rationals enter only inside Gaussian elimination.  The canonical column sign
@@ -142,23 +143,6 @@ def rational_nullity(m) -> int:
     if not m or not m[0]:
         return 0
     return len(m[0]) - rational_rank(m)
-
-
-def gf2_rank(m) -> int:
-    """Rank over GF(2); used only by the test suite's characteristic-2 checks."""
-    rows = [sum((abs(x) % 2) << j for j, x in enumerate(row)) for row in m]
-    rank_ = 0
-    for col in range(len(m[0]) if m else 0):
-        bit = 1 << col
-        pivot = next((i for i, r in enumerate(rows) if r & bit), None)
-        if pivot is None:
-            continue
-        rows[rank_], rows[pivot] = rows[pivot], rows[rank_]
-        for i in range(len(rows)):
-            if i != rank_ and rows[i] & bit:
-                rows[i] ^= rows[rank_]
-        rank_ += 1
-    return rank_
 
 
 def bareiss_determinant(m) -> int:

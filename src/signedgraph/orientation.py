@@ -1,9 +1,8 @@
 """Bidirected graphs, acyclic orientations, the signed-graphic hyperplane
 arrangement, its characteristic polynomial, and exact region counting.
 
-Regions are never represented geometrically: the oracle works with sign
-vectors of signed-permutation points, which is exact because every hyperplane
-here has the form x_j = ±x_i or x_i = 0.
+The characteristic polynomial is the chromatic polynomial (Zaslavsky, 1982),
+computed by deletion-contraction; the region count is (-1)^n p(-1).
 """
 
 from __future__ import annotations
@@ -12,7 +11,7 @@ from dataclasses import dataclass
 from itertools import permutations, product
 
 from .core import EdgeKind, SgError, SignedGraph
-from .coloring import chromatic_poly_subset
+from .coloring import chromatic_poly_delcon
 from .frame import enumerate_frame_circuits
 from .polynomial import IntPolynomial
 
@@ -93,7 +92,7 @@ def enumerate_acyclic(g: SignedGraph, end_cap=24) -> int:
     (one two-way choice per link, loop, or half edge)."""
     orientable = [e for e in g.edges if e.kind is not EdgeKind.LOOSE]
     n_ends = sum(len(e.ends) for e in g.edges)
-    if 2 * n_ends > 2 * end_cap:
+    if n_ends > end_cap:
         raise SgError(f"orientation cap exceeded ({n_ends} ends > {end_cap})")
     base = orient(g)
     circuits = enumerate_frame_circuits(g, n_cap=g.n, edge_cap=len(g.edges))
@@ -145,11 +144,12 @@ def arrangement(g: SignedGraph):
     return out
 
 
-def characteristic_polynomial(g: SignedGraph, edge_cap=20) -> IntPolynomial:
-    """Subset expansion: sum over S of (-1)^|S| lambda^{b(S)}.
+def characteristic_polynomial(g: SignedGraph) -> IntPolynomial:
+    """p(lambda) = sum over S of (-1)^|S| lambda^{b(S)}.
 
-    Equals the chromatic polynomial of the graph, and is computed by it."""
-    return chromatic_poly_subset(g, edge_cap=edge_cap)
+    Equals the chromatic polynomial of the graph (Zaslavsky, 1982), and is
+    computed as that, by deletion-contraction."""
+    return chromatic_poly_delcon(g)
 
 
 @dataclass(frozen=True)
@@ -160,42 +160,18 @@ class RegionReport:
     sign_vector_regions: int = None
 
 
-def count_regions_by_sign_vectors(g: SignedGraph, n_cap=6) -> int:
-    """Exact region count: distinct sign vectors of all signed-permutation
-    points (coordinates are distinct values 1..n with arbitrary signs).
-
-    Every region of a subarrangement of the full B_n reflection arrangement
-    contains such a point, and no such point lies on any hyperplane here, so
-    this count is exact."""
-    if g.n > n_cap:
-        raise SgError(f"region-oracle cap exceeded (n = {g.n} > {n_cap})")
-    hps = arrangement(g)
-    if any(h.kind == "degenerate" for h in hps):
-        return 0
-    seen = set()
-    for perm in permutations(range(1, g.n + 1)):
-        for signs in product((1, -1), repeat=g.n):
-            x = [s * p for s, p in zip(signs, perm)]
-            vec = []
-            for h in hps:
-                if h.kind == "difference":
-                    val = x[h.j] - h.sign * x[h.i]
-                else:
-                    val = x[h.i]
-                vec.append(1 if val > 0 else -1)
-            seen.add(tuple(vec))
-    return len(seen)
-
-
 def region_count(g: SignedGraph, oracle=False, count_acyclic=False, n_cap=6) -> RegionReport:
     """Region count by the finite-field-free formula (-1)^n p(-1); zero when a
-    degenerate hyperplane (loose edge / positive loop) is present."""
+    degenerate hyperplane (loose edge / positive loop) is present.  oracle and
+    count_acyclic add the sign-vector and acyclic-orientation counts."""
     poly = characteristic_polynomial(g)
     degenerate = any(h.kind == "degenerate" for h in arrangement(g))
     formula = 0 if degenerate else (-1) ** g.n * poly(-1)
     sv = None
     ac = None
     if oracle and not degenerate:
+        from .oracles import count_regions_by_sign_vectors
+
         sv = count_regions_by_sign_vectors(g, n_cap=n_cap)
     if count_acyclic:
         ac = enumerate_acyclic(g)

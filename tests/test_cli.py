@@ -183,24 +183,29 @@ def test_byte_identical_across_runs_and_threads(tmp_path):
             assert r1.stdout == r2.stdout == r4.stdout, verb
 
 
-NUMPY_AFTER_EACH = """
+LOADED_AFTER_EACH = """
 import json, sys
 from signedgraph.cli import run
-loaded = {}
-for verb, extra in json.loads(sys.argv[1]):
+module, calls = json.loads(sys.argv[1])
+loaded = []
+for verb, extra in calls:
     assert run([verb, *extra]) == 0, verb
-    loaded[verb] = "numpy" in sys.modules
+    loaded.append(module in sys.modules)
 print(json.dumps(loaded))
 """
 
 
-def numpy_after_each(calls):
+def loaded_after_each(module, calls):
     """Run the calls in order in one fresh interpreter; for each, whether
-    numpy was loaded after it."""
-    cmd = [sys.executable, "-c", NUMPY_AFTER_EACH, json.dumps(calls)]
+    module was loaded after it."""
+    cmd = [sys.executable, "-c", LOADED_AFTER_EACH, json.dumps([module, calls])]
     r = subprocess.run(cmd, capture_output=True, env=cli_env())
     assert r.returncode == 0, r.stderr
     return json.loads(r.stdout.splitlines()[-1])
+
+
+def numpy_after_each(calls):
+    return dict(zip((verb for verb, _ in calls), loaded_after_each("numpy", calls)))
 
 
 def test_numpy_loads_only_for_spectrum_and_gramian(tmp_path):
@@ -210,3 +215,20 @@ def test_numpy_loads_only_for_spectrum_and_gramian(tmp_path):
     loaded = numpy_after_each(plain + [("spectrum", inv["spectrum"])])
     assert loaded == {verb: False for verb, _ in plain} | {"spectrum": True}
     assert numpy_after_each([("gramian", inv["gramian"])]) == {"gramian": True}
+
+
+def test_oracles_load_only_when_an_oracle_is_asked_for():
+    production = [
+        ["charpoly", SIGMA4],
+        ["regions", SIGMA4, "--acyclic"],
+        ["chromatic", SIGMA4],
+        ["chromatic", SIGMA4, "--zero-free"],
+    ]
+    calls = [(argv[0], argv[1:]) for argv in production]
+    assert loaded_after_each("signedgraph.oracles", calls) == [False] * len(calls)
+    for argv in (
+        ["regions", SIGMA4, "--oracle"],
+        ["chromatic", SIGMA4, "--algorithm", "subset"],
+        ["chromatic", SIGMA4, "--algorithm", "expansion"],
+    ):
+        assert loaded_after_each("signedgraph.oracles", [(argv[0], argv[1:])]) == [True], argv

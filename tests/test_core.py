@@ -31,6 +31,21 @@ def test_edge_validation():
         Edge("l", EdgeKind.LOOSE, (0,))
 
 
+def test_edge_ids_that_would_not_read_back_are_rejected():
+    # parse splits on whitespace and cuts at "#"; CLI edge lists split on ","
+    for eid in ("", "a b", "a\tb", "a\u00a0b", "a\u2028b", "#x", "x#", "a,b", 7):
+        for make in (
+            lambda: link(eid, 0, 1, 1),
+            lambda: loop(eid, 0, -1),
+            lambda: half(eid, 0),
+            lambda: loose(eid),
+        ):
+            with pytest.raises(SgError, match="bad edge id"):
+                make()
+    g = SignedGraph(2, [link("a-b.1|x@2", 0, 1, 1), loose("é")])
+    assert parse(serialize(g)) == g
+
+
 def test_duplicate_ids_rejected():
     with pytest.raises(SgError):
         SignedGraph(2, [link("e", 0, 1, 1), link("e", 0, 1, -1)])

@@ -24,6 +24,7 @@ SIGMA4 = os.path.join(HERE, "fixtures", "sigma4.sg")
 MIXED7 = os.path.join(HERE, "fixtures", "mixed7.sg")
 CYCLE30 = os.path.join(HERE, "fixtures", "cycle30.sg")
 BRIDGES13 = os.path.join(HERE, "fixtures", "bridges13.sg")
+PMK6 = os.path.join(HERE, "fixtures", "pmk6.sg")
 PATH29 = ",".join(f"e{i}" for i in range(1, 30))
 
 CASES = {
@@ -64,6 +65,9 @@ CASES = {
     "balancing-edges-mixed7": ["balancing-edges", MIXED7],
     "charpoly-mixed7": ["charpoly", MIXED7],
     "regions-mixed7": ["regions", MIXED7, "--acyclic"],
+    # +-K_6 has 30 edges, beyond the subset expansion's 20-edge cap
+    "charpoly-pmk6": ["charpoly", PMK6],
+    "regions-pmk6": ["regions", PMK6],
     "chromatic-mixed7-delcon": ["chromatic", MIXED7],
     "chromatic-mixed7-delcon-zf": ["chromatic", MIXED7, "--zero-free"],
     "chromatic-mixed7-subset": ["chromatic", MIXED7, "--algorithm", "subset"],

@@ -24,7 +24,8 @@ from signedgraph import (
     spectrum,
     switch_set,
 )
-from signedgraph.matrices import gf2_rank, rational_nullity
+from signedgraph.matrices import rational_nullity
+from signedgraph.oracles import gf2_rank
 from conftest import random_graph, seeded
 
 # the printed 4x7 reference; our canonical column signs negate columns e, f

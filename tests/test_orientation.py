@@ -6,6 +6,8 @@ from signedgraph import (
     SignedGraph,
     arrangement,
     characteristic_polynomial,
+    chromatic_poly_delcon,
+    chromatic_poly_subset,
     count_regions_by_sign_vectors,
     enumerate_acyclic,
     half,
@@ -160,4 +162,5 @@ def test_caps():
         4, [link(f"e{i}", i % 4, (i + 1) % 4, 1 if i % 2 else -1) for i in range(22)]
     )
     with pytest.raises(SgError):
-        characteristic_polynomial(many, edge_cap=20)
+        chromatic_poly_subset(many, edge_cap=20)
+    assert characteristic_polynomial(many) == chromatic_poly_delcon(many)

@@ -9,7 +9,7 @@ import pytest
 import signedgraph
 
 MODULES = ("core", "balance", "minors", "frame", "matrices", "orientation",
-           "coloring", "linegraph", "angle", "polynomial", "cli")
+           "coloring", "linegraph", "angle", "polynomial", "oracles", "cli")
 
 
 def test_every_export_is_its_submodule_binding():
