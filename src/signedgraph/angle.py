@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
 
-from .core import EdgeKind, SgError, SignedGraph
+from .core import SgError, SignedGraph, _LINK
 from .matrices import adjacency_matrix
 
 TOL = 1e-8
@@ -113,7 +113,7 @@ def _dot(u, v):
 
 
 def _simple_adjacency(g: SignedGraph):
-    if any(e.kind is not EdgeKind.LINK for e in g.edges):
+    if any(e.kind is not _LINK for e in g.edges):
         raise SgError("angle representations need a simple link graph")
     a = adjacency_matrix(g)
     for i in range(g.n):

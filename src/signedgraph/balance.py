@@ -30,11 +30,15 @@ from .core import (
     DFS_BACK,
     DFS_ROOT,
     DFS_TREE,
-    Edge,
-    EdgeKind,
     SgError,
     SignedGraph,
+    _HALF,
+    _LINK,
+    _LOOP,
+    _LOOSE,
     _dfs,
+    _edge,
+    _graph,
     _link_adjacency,
     _potential,
     enumerate_circles,
@@ -84,40 +88,41 @@ def harary_bipartition(g: SignedGraph):
 
 
 def switch(g: SignedGraph, zeta) -> SignedGraph:
-    """Switch by zeta: V -> {+1,-1}; half and loose edges are unchanged."""
-
-    def z(v):
-        val = zeta(v) if callable(zeta) else zeta[v]
+    """Switch by zeta: V -> {+1,-1}, a callable or a sequence or mapping
+    indexed by vertex that has a value at every vertex; half and loose edges
+    are unchanged."""
+    values = []
+    for v in range(g.n):
+        try:
+            val = zeta(v) if callable(zeta) else zeta[v]
+        except LookupError:
+            raise SgError(f"switching function has no value at vertex {v}") from None
         if val not in (1, -1):
             raise SgError(f"switching value at vertex {v} must be +1 or -1")
-        return val
+        values.append(1 if val == 1 else -1)  # an int, as edge signs are
+    return _switched(g, values)
 
-    edges = []
+
+def _switched(g: SignedGraph, zeta) -> SignedGraph:
+    """g switched by zeta, a list of +1 and -1 indexed by vertex."""
+    out = []
     for e in g.edges:
-        if e.is_ordinary:
-            u, v = e.ends
-            edges.append(
-                type(e)(e.id, e.kind, e.ends, z(u) * e.sign * z(v))
-            )
+        k = e.kind
+        if k is _LINK or k is _LOOP:
+            u, v = ends = e.ends
+            out.append(_edge(e.id, k, ends, zeta[u] * e.sign * zeta[v]))
         else:
-            edges.append(e)
-    return g.with_edges(edges)
+            out.append(e)
+    return _graph(g.n, out)
 
 
 def switch_set(g: SignedGraph, x) -> SignedGraph:
     """Switch the vertex set x (negate signs across the cut E(x, x^c))."""
     x = frozenset(x)
-    return switch(g, {v: (-1 if v in x else 1) for v in range(g.n)})
-
-
-def _same_underlying(g1: SignedGraph, g2: SignedGraph) -> bool:
-    if g1.n != g2.n or g1.edge_ids != g2.edge_ids:
-        return False
-    for e in g1.edges:
-        f = g2.edge(e.id)
-        if e.kind is not f.kind or sorted(e.ends) != sorted(f.ends):
-            return False
-    return True
+    bad = [v for v in x if type(v) is not int or not 0 <= v < g.n]
+    if bad:
+        raise SgError(f"vertex {min(bad, key=repr)!r} out of range")
+    return _switched(g, [-1 if v in x else 1 for v in range(g.n)])
 
 
 def switching_equivalent(g1: SignedGraph, g2: SignedGraph):
@@ -128,18 +133,26 @@ def switching_equivalent(g1: SignedGraph, g2: SignedGraph):
     on every link and loop, matched by id: edge order and the order of a
     link's ends do not matter.
     """
-    if not _same_underlying(g1, g2):
+    by_id = g2._by_id
+    if g1.n != g2.n or len(g1.edges) != len(g2.edges):
         raise SgError("graphs have different underlying graphs")
-    product = g1.with_edges(
-        Edge(e.id, e.kind, e.ends, e.sign * g2.edge(e.id).sign) if e.is_ordinary else e
-        for e in g1.edges
-    )
-    zeta = _potential(product)[0]
+    product = []
+    pairs = []  # (link or loop of g1, its sign in g2)
     for e in g1.edges:
-        if e.is_ordinary:
-            u, v = e.ends
-            if zeta[u] * e.sign * zeta[v] != g2.edge(e.id).sign:
-                return None
+        f = by_id.get(e.id)
+        ends = e.ends
+        if f is None or e.kind is not f.kind or (ends != f.ends and ends != f.ends[::-1]):
+            raise SgError("graphs have different underlying graphs")
+        if e.sign is None:
+            product.append(e)
+        else:
+            product.append(_edge(e.id, e.kind, ends, e.sign * f.sign))
+            pairs.append((e, f.sign))
+    zeta = _potential(_graph(g1.n, product))[0]
+    for e, sign2 in pairs:
+        u, v = e.ends
+        if zeta[u] * e.sign * zeta[v] != sign2:
+            return None
     return dict(enumerate(zeta))
 
 
@@ -178,7 +191,7 @@ def _frustration_counts(g: SignedGraph) -> _FrustrationCounts:
     fixed = [0] * n
     frustrated = set()
     for e in g.edges:
-        if e.kind is EdgeKind.HALF or (e.kind is EdgeKind.LOOP and e.sign < 0):
+        if e.kind is _HALF or (e.kind is _LOOP and e.sign < 0):
             fixed[e.ends[0]] += 1
             frustrated.add(e.id)
     zeta = [1] * n
@@ -248,7 +261,7 @@ def classify_balancing_edges(g: SignedGraph):
     out = {}
     for e in g.edges:
         out[e.id] = "none"
-        if not n_unbalanced or e.kind is EdgeKind.LOOSE:
+        if not n_unbalanced or e.kind is _LOOSE:
             continue
         f = k.below_fr[k.root[e.ends[0]]]
         child = k.child.get(e.id)
@@ -328,7 +341,7 @@ def negative_circle_vertex_sets(g: SignedGraph, cap=20):
             verts = frozenset(v for eid in c for v in g.edge(eid).ends)
             out.append((c, verts))
     for e in g.edges:
-        if e.kind is EdgeKind.HALF:
+        if e.kind is _HALF:
             out.append((frozenset([e.id]), frozenset(e.ends)))
     return out
 
@@ -353,7 +366,7 @@ def blocks(g: SignedGraph):
     out = [
         (frozenset(e.ends), frozenset([e.id]))
         for e in g.edges
-        if e.kind in (EdgeKind.LOOP, EdgeKind.HALF)
+        if e.kind is _LOOP or e.kind is _HALF
     ]
     at_loop_or_half = {v for vs, _ in out for v in vs}
 

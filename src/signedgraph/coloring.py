@@ -16,7 +16,7 @@ from fractions import Fraction
 from itertools import combinations, product, zip_longest
 from math import comb
 
-from .core import EdgeKind, SgError, SignedGraph, _find, half, link, loop
+from .core import SgError, SignedGraph, _HALF, _LINK, _LOOP, _LOOSE, _find, half, link, loop
 from .minors import contract_set
 from .polynomial import IntPolynomial
 
@@ -31,7 +31,7 @@ def is_proper(g: SignedGraph, gamma) -> bool:
     """gamma: sequence of colors indexed by vertex.  False whenever the graph
     has a loose edge or positive loop (no proper colorations exist then)."""
     for e in g.edges:
-        if e.kind is EdgeKind.LOOSE:
+        if e.kind is _LOOSE:
             return False
         if e.is_ordinary:
             u, v = e.ends
@@ -67,10 +67,10 @@ def _constraints(g: SignedGraph, zero_free):
     edge (then no coloration is proper)."""
     out = set()
     for e in g.edges:
-        if e.kind is EdgeKind.LINK:
+        if e.kind is _LINK:
             u, v = sorted(e.ends)
             out.add((u, v, e.sign))
-        elif e.kind is EdgeKind.HALF or (e.kind is EdgeKind.LOOP and e.sign == -1):
+        elif e.kind is _HALF or (e.kind is _LOOP and e.sign == -1):
             if not zero_free:
                 out.add((e.ends[0], e.ends[0], 0))
         else:
@@ -193,8 +193,8 @@ def unsigned_flats(n, edge_list):
 
 def _has_unbalanced_edge_at(g: SignedGraph, v) -> bool:
     return any(
-        (e.kind is EdgeKind.HALF and e.ends[0] == v)
-        or (e.kind is EdgeKind.LOOP and e.ends[0] == v and e.sign == -1)
+        (e.kind is _HALF and e.ends[0] == v)
+        or (e.kind is _LOOP and e.ends[0] == v and e.sign == -1)
         for e in g.edges
     )
 

@@ -4,17 +4,25 @@ Vertices are dense integers 0..n-1 internally; the text format is 1-based.
 Edges carry user-visible string ids so subsets and reports are traceable.
 All values are immutable after construction and every operation is a pure
 function, so concurrent use is safe.
+
+The public constructors (`Edge`, `SignedGraph`, `link`/`loop`/`half`/`loose`,
+`with_edges`) validate everything.  `_edge` and `_graph` skip the checks and
+are only for data derived from a validated graph, or from a line that `parse`
+has already checked: minors, switchings, relabellings and the parser itself.
+Hot loops compare kinds with the module constants `_LINK`, `_LOOP`, `_HALF`
+and `_LOOSE`, which read faster than `EdgeKind` members.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Optional
+from typing import Optional
 
 DEFAULT_CIRCLE_CAP = 20
 _id_ok = re.compile(r"[^\s#,]+").fullmatch
+_BAD_ID = "bad edge id {!r}: need a nonempty string without whitespace, '#', ','"
 
 
 class SgError(Exception):
@@ -28,8 +36,7 @@ class EdgeKind(Enum):
     LOOSE = "loose"
 
 
-# read faster than EdgeKind members by Edge.__post_init__, run for every edge built
-_LINK, _LOOP, _HALF = EdgeKind.LINK, EdgeKind.LOOP, EdgeKind.HALF
+_LINK, _LOOP, _HALF, _LOOSE = EdgeKind.LINK, EdgeKind.LOOP, EdgeKind.HALF, EdgeKind.LOOSE
 
 
 @dataclass(frozen=True)
@@ -49,7 +56,7 @@ class Edge:
     def __post_init__(self):
         eid, k, ends, sign = self.id, self.kind, self.ends, self.sign
         if not isinstance(eid, str) or not _id_ok(eid):
-            raise SgError(f"bad edge id {eid!r}: need a nonempty string without whitespace, '#', ','")
+            raise SgError(_BAD_ID.format(eid))
         if k is _LINK:
             if len(ends) != 2 or ends[0] == ends[1]:
                 raise SgError(f"link {eid!r} needs two distinct endpoints")
@@ -59,6 +66,8 @@ class Edge:
         elif k is _HALF:
             if len(ends) != 1:
                 raise SgError(f"half edge {eid!r} needs one endpoint")
+        elif k is not _LOOSE:
+            raise SgError(f"edge {eid!r}: kind must be an EdgeKind, got {k!r}")
         elif len(ends) != 0:
             raise SgError(f"loose edge {eid!r} has no endpoints")
         if k is _LINK or k is _LOOP:
@@ -69,23 +78,24 @@ class Edge:
 
     @property
     def is_ordinary(self):
-        return self.kind in (EdgeKind.LINK, EdgeKind.LOOP)
+        """A link or loop: exactly the edges that carry a sign."""
+        return self.sign is not None
 
 
 def link(eid, u, v, sign):
-    return Edge(eid, EdgeKind.LINK, (u, v), sign)
+    return Edge(eid, _LINK, (u, v), sign)
 
 
 def loop(eid, v, sign):
-    return Edge(eid, EdgeKind.LOOP, (v, v), sign)
+    return Edge(eid, _LOOP, (v, v), sign)
 
 
 def half(eid, v):
-    return Edge(eid, EdgeKind.HALF, (v,))
+    return Edge(eid, _HALF, (v,))
 
 
 def loose(eid):
-    return Edge(eid, EdgeKind.LOOSE, ())
+    return Edge(eid, _LOOSE, ())
 
 
 @dataclass(frozen=True)
@@ -96,15 +106,20 @@ class SignedGraph:
     edges: tuple = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "edges", tuple(self.edges))
+        n = self.n
+        if type(n) is not int or n < 0:
+            raise SgError(f"order n must be an int >= 0, got {n!r}")
+        edges = tuple(self.edges)
+        object.__setattr__(self, "edges", edges)
         seen = {}
-        for e in self.edges:
-            if e.id in seen:
-                raise SgError(f"duplicate edge id {e.id!r}")
-            seen[e.id] = e
+        for e in edges:
+            eid = e.id
+            if eid in seen:
+                raise SgError(f"duplicate edge id {eid!r}")
+            seen[eid] = e
             for v in e.ends:
-                if not 0 <= v < self.n:
-                    raise SgError(f"edge {e.id!r}: vertex {v} out of range")
+                if type(v) is not int or not 0 <= v < n:  # bool is not int
+                    raise SgError(f"edge {eid!r}: vertex {v!r} out of range")
         object.__setattr__(self, "_by_id", seen)
 
     def edge(self, eid):
@@ -137,6 +152,36 @@ class SignedGraph:
         return SignedGraph(self.n, tuple(edges))
 
 
+# Fields are set one by one, in declaration order, as the dataclass __init__
+# does: that keeps the instance's values inline.  Filling e.__dict__ instead
+# builds a dict per instance, which costs memory and slows every later read
+# of the fields.
+_new = object.__new__
+_set = object.__setattr__
+
+
+def _edge(eid, kind, ends, sign=None):
+    """An Edge built without checks: only for data derived from a validated
+    graph or a line that `parse` has checked."""
+    e = _new(Edge)
+    _set(e, "id", eid)
+    _set(e, "kind", kind)
+    _set(e, "ends", ends)
+    _set(e, "sign", sign)
+    return e
+
+
+def _graph(n, edges):
+    """A SignedGraph built without checks, on a list of edges with distinct
+    ids and ends in range(n) (see `_edge`)."""
+    g = _new(SignedGraph)
+    edges = tuple(edges)
+    _set(g, "n", n)
+    _set(g, "edges", edges)
+    _set(g, "_by_id", {e.id: e for e in edges})
+    return g
+
+
 # ---------------------------------------------------------------------------
 # text format
 
@@ -158,6 +203,11 @@ def parse(text) -> SignedGraph:
 
     def err(lineno, msg):
         raise SgError(f"line {lineno}: {msg}")
+
+    def check_id(eid):  # Edge's id check; eid is a str
+        if not _id_ok(eid):
+            raise SgError(_BAD_ID.format(eid))
+        return eid
 
     for lineno, raw in enumerate(lines, start=1):
         line = raw.split("#", 1)[0].strip()
@@ -191,8 +241,8 @@ def parse(text) -> SignedGraph:
                 err(lineno, "vertex indices must be integers")
             if not (0 <= u < n and 0 <= v < n):
                 err(lineno, f"vertex index out of range in edge {eid!r}")
-            sign = 1 if ss == "+" else -1
-            e = link(eid, u, v, sign) if u != v else loop(eid, u, sign)
+            kind = _LINK if u != v else _LOOP
+            e = _edge(check_id(eid), kind, (u, v), 1 if ss == "+" else -1)
         elif directive == "half":
             if len(fields) != 3:
                 err(lineno, "expected 'half <id> <v>'")
@@ -203,11 +253,11 @@ def parse(text) -> SignedGraph:
                 err(lineno, "vertex index must be an integer")
             if not 0 <= v < n:
                 err(lineno, f"vertex index out of range in half edge {eid!r}")
-            e = half(eid, v)
+            e = _edge(check_id(eid), _HALF, (v,))
         elif directive == "loose":
             if len(fields) != 2:
                 err(lineno, "expected 'loose <id>'")
-            e = loose(fields[1])
+            e = _edge(check_id(fields[1]), _LOOSE, ())
         else:
             err(lineno, f"unknown directive {directive!r}")
         if e.id in seen:
@@ -219,18 +269,18 @@ def parse(text) -> SignedGraph:
         raise SgError("line 1: expected magic line 'sg 1'")
     if n is None:
         raise SgError("missing 'n' directive")
-    return SignedGraph(n, tuple(edges))
+    return _graph(n, edges)
 
 
 def serialize(g: SignedGraph) -> bytes:
     """Deterministic byte serialization; parse(serialize(g)) == g."""
     out = ["sg 1", f"n {g.n}"]
     for e in g.edges:
-        if e.is_ordinary:
+        if e.sign is not None:
             u, v = e.ends
             s = "+" if e.sign > 0 else "-"
             out.append(f"edge {e.id} {u + 1} {v + 1} {s}")
-        elif e.kind is EdgeKind.HALF:
+        elif e.kind is _HALF:
             out.append(f"half {e.id} {e.ends[0] + 1}")
         else:
             out.append(f"loose {e.id}")
@@ -254,7 +304,7 @@ def _link_adjacency(n, edges):
     order of edges."""
     adj = [[] for _ in range(n)]
     for e in edges:
-        if e.kind is EdgeKind.LINK:
+        if e.kind is _LINK:
             u, v = e.ends
             adj[u].append((e, v))
             adj[v].append((e, u))
@@ -341,7 +391,7 @@ def _potential(g: SignedGraph, s=None):
     edges = g.edges if s is None else g.restricted(s)
     adj = [[] for _ in range(g.n)]
     for e in edges:
-        if e.kind is EdgeKind.LINK:
+        if e.kind is _LINK:
             u, v = e.ends
             adj[u].append((v, e.sign))
             adj[v].append((u, e.sign))
@@ -360,7 +410,7 @@ def _potential(g: SignedGraph, s=None):
                     queue.append(w)
     unbalanced = set()
     for e in edges:
-        if e.kind is EdgeKind.HALF:
+        if e.kind is _HALF:
             unbalanced.add(root[e.ends[0]])
         elif e.ends and zeta[e.ends[0]] * e.sign * zeta[e.ends[1]] == -1:
             unbalanced.add(root[e.ends[0]])
@@ -378,21 +428,24 @@ def components(g: SignedGraph, s=None):
     return [tuple(vs) for vs in groups.values()]
 
 
-def _relabel(n, edges, vmap):
-    """The graph of order n on edges whose ends move by vmap (old vertex ->
-    new vertex, or None to drop that end).  A link whose ends meet becomes a
-    loop; an ordinary or half edge that loses ends becomes a half or loose
-    edge."""
+def _relabel(n, edges, vmap, zeta=None):
+    """The graph of order n on edges of a validated graph whose ends move by
+    vmap (old vertex -> new vertex, or None to drop that end), switched by
+    zeta (old vertex -> +1 or -1) when it is given.  A link whose ends meet
+    becomes a loop; an ordinary or half edge that loses ends becomes a half
+    or loose edge."""
     out = []
     for e in edges:
         ends = tuple(vmap[v] for v in e.ends if vmap[v] is not None)
         if len(ends) < len(e.ends):
-            kind = EdgeKind.HALF if ends else EdgeKind.LOOSE
-            out.append(Edge(e.id, kind, ends))
-        else:
-            kind = EdgeKind.LOOP if e.kind is EdgeKind.LINK and ends[0] == ends[1] else e.kind
-            out.append(Edge(e.id, kind, ends, e.sign))
-    return SignedGraph(n, out)
+            out.append(_edge(e.id, _HALF if ends else _LOOSE, ends))
+            continue
+        kind = _LOOP if e.kind is _LINK and ends[0] == ends[1] else e.kind
+        sign = e.sign
+        if zeta is not None and sign is not None:
+            sign *= zeta[e.ends[0]] * zeta[e.ends[1]]
+        out.append(_edge(e.id, kind, ends, sign))
+    return _graph(n, out)
 
 
 def delete_vertices(g: SignedGraph, w) -> SignedGraph:
@@ -424,7 +477,7 @@ def enumerate_circles(g: SignedGraph, s=None, cap=DEFAULT_CIRCLE_CAP):
     if len(edges) > cap:
         raise SgError(f"circle enumeration cap exceeded ({len(edges)} > {cap})")
 
-    circles = {frozenset([e.id]) for e in edges if e.kind is EdgeKind.LOOP}
+    circles = {frozenset([e.id]) for e in edges if e.kind is _LOOP}
     adj = _link_adjacency(g.n, edges)
 
     def dfs(start, v, visited, path):

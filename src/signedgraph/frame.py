@@ -13,9 +13,9 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .core import (
-    EdgeKind,
     SgError,
     SignedGraph,
+    _LOOSE,
     _link_adjacency,
     _potential,
     edge_set_sign,
@@ -75,7 +75,7 @@ def enumerate_frame_circuits(g: SignedGraph, n_cap=10, edge_cap=20):
             fc = FrameCircuit("positive_circle", (c,))
             found[fc.edge_set] = fc
     for e in g.edges:
-        if e.kind is EdgeKind.LOOSE:
+        if e.kind is _LOOSE:
             fc = FrameCircuit("loose_edge", (frozenset([e.id]),))
             found[fc.edge_set] = fc
 

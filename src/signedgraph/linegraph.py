@@ -13,7 +13,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 
-from .core import Edge, EdgeKind, SgError, SignedGraph, _potential, _relabel, link
+from .core import Edge, SgError, SignedGraph, _HALF, _LINK, _LOOP, _LOOSE, _potential, _relabel, link
 from .matrices import adjacency_matrix, reduce as reduce_graph
 from .orientation import BidirectedGraph, orient
 
@@ -43,7 +43,7 @@ def line_graph(g) -> LineGraphResult:
     directions."""
     b = _as_bidirected(g)
     src = b.graph
-    if any(e.kind is not EdgeKind.LINK for e in src.edges):
+    if any(e.kind is not _LINK for e in src.edges):
         raise SgError("line graph needs a source graph of links only")
     labels = tuple(e.id for e in src.edges)
     index = {eid: i for i, eid in enumerate(labels)}
@@ -214,12 +214,12 @@ def _switching_same_multigraph(g1: SignedGraph, g2: SignedGraph):
     forced = []
     for key, signs1 in c1.items():
         kind, ends = key
-        if kind in (EdgeKind.HALF, EdgeKind.LOOSE):
+        if kind is _HALF or kind is _LOOSE:
             continue
         m1, m2 = Counter(signs1), Counter(c2[key])
         same = m1 == m2
         opposite = m1 == Counter({-s: c for s, c in m2.items()})
-        if kind is EdgeKind.LOOP:
+        if kind is _LOOP:
             if not same:  # zeta(v)^2 = 1 always
                 return False
         elif not (same or opposite):
@@ -244,7 +244,7 @@ def switching_isomorphic(g1: SignedGraph, g2: SignedGraph):
         for e in g.edges:
             for v in e.ends:
                 degree[v] += 1
-            if e.kind is EdgeKind.LINK:
+            if e.kind is _LINK:
                 links[frozenset(e.ends)] += 1
         return degree, links
 

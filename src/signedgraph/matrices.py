@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
-from .core import EdgeKind, SgError, SignedGraph, enumerate_circles
+from .core import SgError, SignedGraph, _HALF, _LINK, _LOOP, _LOOSE, enumerate_circles
 from .frame import is_independent
 
 
@@ -22,14 +22,14 @@ def edge_vector(g: SignedGraph, eid):
     """Canonical edge vector of length n (column of the incidence matrix)."""
     e = g.edge(eid)
     vec = [0] * g.n
-    if e.kind is EdgeKind.LINK:
+    if e.kind is _LINK:
         i, j = min(e.ends), max(e.ends)
         vec[i] = 1
         vec[j] = -e.sign
-    elif e.kind is EdgeKind.LOOP:
+    elif e.kind is _LOOP:
         if e.sign == -1:
             vec[e.ends[0]] = 2
-    elif e.kind is EdgeKind.HALF:
+    elif e.kind is _HALF:
         vec[e.ends[0]] = 1
     return vec
 
@@ -45,13 +45,13 @@ def adjacency_matrix(g: SignedGraph):
     pair); diagonal counts half edges plus twice the signed loop excess."""
     a = [[0] * g.n for _ in range(g.n)]
     for e in g.edges:
-        if e.kind is EdgeKind.LINK:
+        if e.kind is _LINK:
             u, v = e.ends
             a[u][v] += e.sign
             a[v][u] += e.sign
-        elif e.kind is EdgeKind.LOOP:
+        elif e.kind is _LOOP:
             a[e.ends[0]][e.ends[0]] += 2 * e.sign
-        elif e.kind is EdgeKind.HALF:
+        elif e.kind is _HALF:
             a[e.ends[0]][e.ends[0]] += 1
     return a
 
@@ -66,12 +66,12 @@ def degree_matrix(g: SignedGraph):
     determinant identity whenever half edges are present.)"""
     diag = [0] * g.n
     for e in g.edges:
-        if e.kind is EdgeKind.LINK:
+        if e.kind is _LINK:
             for v in e.ends:
                 diag[v] += 1
-        elif e.kind is EdgeKind.LOOP:
+        elif e.kind is _LOOP:
             diag[e.ends[0]] += 2
-        elif e.kind is EdgeKind.HALF:
+        elif e.kind is _HALF:
             diag[e.ends[0]] += 2
     return [
         [diag[v] if v == w else 0 for w in range(g.n)] for v in range(g.n)
@@ -93,13 +93,13 @@ def reduce(g: SignedGraph) -> SignedGraph:
     keep = {
         e.id: e
         for e in g.edges
-        if not (e.kind is EdgeKind.LOOSE or (e.kind is EdgeKind.LOOP and e.sign == 1))
+        if not (e.kind is _LOOSE or (e.kind is _LOOP and e.sign == 1))
     }
     changed = True
     while changed:
         changed = False
         links = sorted(
-            (e for e in keep.values() if e.kind is EdgeKind.LINK), key=lambda e: e.id
+            (e for e in keep.values() if e.kind is _LINK), key=lambda e: e.id
         )
         for e, f in combinations(links, 2):
             if sorted(e.ends) == sorted(f.ends) and e.sign == -f.sign:

@@ -11,8 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import SignedGraph, _potential, _relabel
-from .balance import switch
+from .core import SignedGraph, _graph, _potential, _relabel
 
 
 @dataclass(frozen=True)
@@ -29,8 +28,10 @@ class MinorTrace:
 
 def delete_edges(g: SignedGraph, s) -> SignedGraph:
     s = frozenset(s)
-    g.restricted(s)  # validates ids
-    return g.with_edges(e for e in g.edges if e.id not in s)
+    kept = [e for e in g.edges if e.id not in s]
+    if len(kept) + len(s) != len(g.edges):
+        g.restricted(s)  # some id of s is not in g: raises naming them
+    return _graph(g.n, kept)
 
 
 def contract_edge(g: SignedGraph, eid):
@@ -51,11 +52,10 @@ def contract_set(g: SignedGraph, s):
     vertices vanish and incident outside edges lose those endpoints."""
     s = frozenset(s)
     zeta, root, unbalanced = _potential(g, s)
-    switched = switch(g, zeta)  # zeta on unbalanced components is irrelevant
-
     roots = sorted(set(root) - unbalanced)
     index = {r: i for i, r in enumerate(roots)}
     vmap = {v: index.get(root[v]) for v in range(g.n)}
-    rest = [e for e in switched.edges if e.id not in s]
+    rest = [e for e in g.edges if e.id not in s]
     trace = MinorTrace(frozenset(), s, vmap)
-    return _relabel(len(roots), rest, vmap), trace
+    # switched by zeta in the same pass; zeta on unbalanced components is irrelevant
+    return _relabel(len(roots), rest, vmap, zeta), trace

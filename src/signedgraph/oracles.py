@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from itertools import combinations, permutations, product
 
-from .core import EdgeKind, SgError, SignedGraph, delete_vertices, edge_set_sign, enumerate_circles
+from .core import SgError, SignedGraph, _LOOSE, delete_vertices, edge_set_sign, enumerate_circles
 from .balance import balance_partition
 from .coloring import DEFAULT_COUNT_CAP, _constraints, _delcon, is_proper, make_signed
 from .polynomial import IntPolynomial
@@ -93,7 +93,7 @@ def balance_closure(g: SignedGraph, s, cap=20) -> frozenset:
     loose edges.  Oracle for frame.closure on balanced S."""
     s = frozenset(s)
     g.restricted(s)
-    out = set(s) | {e.id for e in g.edges if e.kind is EdgeKind.LOOSE}
+    out = set(s) | {e.id for e in g.edges if e.kind is _LOOSE}
     for e in g.edges:
         if e.id in out or not e.is_ordinary:
             continue

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import permutations, product
 
-from .core import EdgeKind, SgError, SignedGraph
+from .core import SgError, SignedGraph, _HALF, _LINK, _LOOP, _LOOSE
 from .coloring import chromatic_poly_delcon
 from .frame import enumerate_frame_circuits
 from .polynomial import IntPolynomial
@@ -51,16 +51,16 @@ def orient(g: SignedGraph) -> BidirectedGraph:
     arbitrary choice.  Half edge: +1."""
     tau = {}
     for e in g.edges:
-        if e.kind is EdgeKind.LINK:
+        if e.kind is _LINK:
             lo = min(e.ends)
             for slot, v in enumerate(e.ends):
                 tau[(e.id, slot)] = 1 if v == lo else -e.sign
-        elif e.kind is EdgeKind.LOOP:
+        elif e.kind is _LOOP:
             if e.sign == -1:
                 tau[(e.id, 0)] = tau[(e.id, 1)] = 1
             else:
                 tau[(e.id, 0)], tau[(e.id, 1)] = 1, -1
-        elif e.kind is EdgeKind.HALF:
+        elif e.kind is _HALF:
             tau[(e.id, 0)] = 1
     return BidirectedGraph(g, tau)
 
@@ -90,7 +90,7 @@ def is_acyclic(b: BidirectedGraph, circuits=None) -> bool:
 def enumerate_acyclic(g: SignedGraph, end_cap=24) -> int:
     """Count acyclic orientations by exhausting the 2^k consistent taus
     (one two-way choice per link, loop, or half edge)."""
-    orientable = [e for e in g.edges if e.kind is not EdgeKind.LOOSE]
+    orientable = [e for e in g.edges if e.kind is not _LOOSE]
     n_ends = sum(len(e.ends) for e in g.edges)
     if n_ends > end_cap:
         raise SgError(f"orientation cap exceeded ({n_ends} ends > {end_cap})")
@@ -132,12 +132,12 @@ def arrangement(g: SignedGraph):
     """One hyperplane per edge, in edge order."""
     out = []
     for e in g.edges:
-        if e.kind is EdgeKind.LINK:
+        if e.kind is _LINK:
             i, j = min(e.ends), max(e.ends)
             out.append(Hyperplane("difference", e.id, i, j, e.sign))
-        elif e.kind is EdgeKind.LOOP and e.sign == -1:
+        elif e.kind is _LOOP and e.sign == -1:
             out.append(Hyperplane("coordinate", e.id, e.ends[0]))
-        elif e.kind is EdgeKind.HALF:
+        elif e.kind is _HALF:
             out.append(Hyperplane("coordinate", e.id, e.ends[0]))
         else:  # loose edge or positive loop
             out.append(Hyperplane("degenerate", e.id))
@@ -188,7 +188,7 @@ def region_witness_point(g: SignedGraph, b: BidirectedGraph):
             x = [s * p for s, p in zip(signs, perm)]
             ok = True
             for e in g.edges:
-                if e.kind is EdgeKind.LOOSE:
+                if e.kind is _LOOSE:
                     ok = False
                     break
                 total = sum(

@@ -76,6 +76,23 @@ def test_switch_involution(sigma4):
     assert switch(switch(sigma4, z), z) == sigma4
 
 
+def test_switch_rejects_a_switching_function_without_a_value_at_a_vertex():
+    g = SignedGraph(3, [link("a", 0, 1, -1), link("b", 1, 2, 1), half("h", 2)])
+    with pytest.raises(SgError, match="no value at vertex 1"):
+        switch(g, {0: 1})
+    with pytest.raises(SgError, match="no value at vertex 2"):
+        switch(g, [1, 1])
+    with pytest.raises(SgError, match="vertex 2 must be"):
+        switch(g, [1, 1, 0])
+    with pytest.raises(SgError, match="vertex 7 out of range"):
+        switch_set(g, [7])
+    with pytest.raises(SgError, match="vertex -1 out of range"):
+        switch_set(g, [0, -1])
+    with pytest.raises(SgError, match="vertex '1' out of range"):
+        switch_set(g, ["1"])
+    assert switch(g, lambda v: -1 if v == 1 else 1) == switch_set(g, [1])
+
+
 def test_switching_equivalence_roundtrip(sigma4):
     z = {0: 1, 1: -1, 2: 1, 3: -1}
     g2 = switch(sigma4, z)

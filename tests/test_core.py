@@ -46,6 +46,20 @@ def test_edge_ids_that_would_not_read_back_are_rejected():
     assert parse(serialize(g)) == g
 
 
+def test_graph_order_and_ends_must_be_ints_in_range():
+    for n in (-1, "3", 2.0, True, None):
+        with pytest.raises(SgError, match="order n must be an int"):
+            SignedGraph(n, [])
+    for e in (link("a", 0, 1.5, 1), link("a", 0, True, 1), half("a", 1.0), loop("a", "1", 1)):
+        with pytest.raises(SgError, match="out of range"):
+            SignedGraph(2, [e])
+    with pytest.raises(SgError, match="edge 'a': vertex 2 out of range"):
+        SignedGraph(2, [half("a", 2)])
+    with pytest.raises(SgError, match="kind must be an EdgeKind"):
+        Edge("a", "loose", ())
+    assert SignedGraph(0, []).edges == ()
+
+
 def test_duplicate_ids_rejected():
     with pytest.raises(SgError):
         SignedGraph(2, [link("e", 0, 1, 1), link("e", 0, 1, -1)])
