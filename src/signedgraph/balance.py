@@ -41,8 +41,7 @@ from .core import (
     _graph,
     _link_adjacency,
     _potential,
-    enumerate_circles,
-    edge_set_sign,
+    _signed_circles,
 )
 
 DEFAULT_BALANCING_CAP = 20
@@ -335,24 +334,22 @@ def min_balancing_set(g: SignedGraph, cap=DEFAULT_BALANCING_CAP) -> frozenset:
 def negative_circle_vertex_sets(g: SignedGraph, cap=20):
     """Vertex sets of all negative circles, counting half edges and negative
     loops as negative circles (the handcuff convention)."""
-    out = []
-    for c in enumerate_circles(g, cap=cap):
-        if edge_set_sign(g, c) == -1:
-            verts = frozenset(v for eid in c for v in g.edge(eid).ends)
-            out.append((c, verts))
-    for e in g.edges:
-        if e.kind is _HALF:
-            out.append((frozenset([e.id]), frozenset(e.ends)))
+    if len(g.edges) > cap:
+        raise SgError(f"circle enumeration cap exceeded ({len(g.edges)} > {cap})")
+    return _negative_circles(g.edges, _signed_circles(g.n, g.edges))
+
+
+def _negative_circles(edges, signed_circles):
+    """(edge ids, vertex set) of each negative circle among signed_circles
+    (see `core._signed_circles`), then of each half edge of edges."""
+    out = [(c, verts) for c, verts, sign in signed_circles if sign == -1]
+    out += [(frozenset([e.id]), frozenset(e.ends)) for e in edges if e.kind is _HALF]
     return out
 
 
 def has_two_disjoint_negative_circles(g: SignedGraph, cap=20) -> bool:
     circles = negative_circle_vertex_sets(g, cap=cap)
-    for i, (_, vs1) in enumerate(circles):
-        for _, vs2 in circles[i + 1 :]:
-            if not vs1 & vs2:
-                return True
-    return False
+    return any(not vs1 & vs2 for (_, vs1), (_, vs2) in combinations(circles, 2))
 
 
 def blocks(g: SignedGraph):

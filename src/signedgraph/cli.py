@@ -172,7 +172,7 @@ def cmd_frame_circuits(args):
     from .frame import enumerate_frame_circuits
 
     g = _load(args)
-    fcs = enumerate_frame_circuits(g, n_cap=g.n, edge_cap=len(g.edges))
+    fcs = enumerate_frame_circuits(g)
     lines = [f"{fc.kind}: {_eset(fc.edge_set)}" for fc in fcs]
     lines.append(f"count: {len(fcs)}")
     _emit(

@@ -16,7 +16,7 @@ from fractions import Fraction
 from itertools import combinations, product, zip_longest
 from math import comb
 
-from .core import SgError, SignedGraph, _HALF, _LINK, _LOOP, _LOOSE, _find, half, link, loop
+from .core import SgError, SignedGraph, _HALF, _LOOP, _LOOSE, _edge_vector, _find, half, link, loop
 from .minors import contract_set
 from .polynomial import IntPolynomial
 
@@ -64,17 +64,19 @@ def count_proper(g: SignedGraph, k, zero_free=False, cap=DEFAULT_COUNT_CAP) -> i
 
 def _constraints(g: SignedGraph, zero_free):
     """The constraint set of g, or None if g has a positive loop or a loose
-    edge (then no coloration is proper)."""
+    edge (then no coloration is proper).  Each edge's constraint is
+    gamma . x(e) != 0 on its edge vector x(e) (`core._edge_vector`)."""
     out = set()
     for e in g.edges:
-        if e.kind is _LINK:
-            u, v = sorted(e.ends)
-            out.add((u, v, e.sign))
-        elif e.kind is _HALF or (e.kind is _LOOP and e.sign == -1):
-            if not zero_free:
-                out.add((e.ends[0], e.ends[0], 0))
-        else:
+        vec = _edge_vector(e)
+        if len(vec) == 2:
+            (u, _), (v, x) = vec
+            out.add((u, v, -x))
+        elif not vec:
             return None
+        elif not zero_free:
+            v = vec[0][0]
+            out.add((v, v, 0))
     return frozenset(out)
 
 

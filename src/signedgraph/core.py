@@ -57,6 +57,8 @@ class Edge:
         eid, k, ends, sign = self.id, self.kind, self.ends, self.sign
         if not isinstance(eid, str) or not _id_ok(eid):
             raise SgError(_BAD_ID.format(eid))
+        if type(ends) is not tuple:  # a list would make the edge unhashable
+            raise SgError(f"edge {eid!r}: ends must be a tuple, got {type(ends).__name__}")
         if k is _LINK:
             if len(ends) != 2 or ends[0] == ends[1]:
                 raise SgError(f"link {eid!r} needs two distinct endpoints")
@@ -109,17 +111,20 @@ class SignedGraph:
         n = self.n
         if type(n) is not int or n < 0:
             raise SgError(f"order n must be an int >= 0, got {n!r}")
-        edges = tuple(self.edges)
-        object.__setattr__(self, "edges", edges)
         seen = {}
-        for e in edges:
-            eid = e.id
-            if eid in seen:
-                raise SgError(f"duplicate edge id {eid!r}")
-            seen[eid] = e
-            for v in e.ends:
-                if type(v) is not int or not 0 <= v < n:  # bool is not int
-                    raise SgError(f"edge {eid!r}: vertex {v!r} out of range")
+        try:  # an item that is not an Edge fails on .id or .ends
+            edges = tuple(self.edges)
+            for e in edges:
+                eid = e.id
+                if eid in seen:
+                    raise SgError(f"duplicate edge id {eid!r}")
+                seen[eid] = e
+                for v in e.ends:
+                    if type(v) is not int or not 0 <= v < n:  # bool is not int
+                        raise SgError(f"edge {eid!r}: vertex {v!r} out of range")
+        except (AttributeError, TypeError):
+            raise SgError("edges must be an iterable of Edge objects") from None
+        object.__setattr__(self, "edges", edges)
         object.__setattr__(self, "_by_id", seen)
 
     def edge(self, eid):
@@ -457,6 +462,23 @@ def delete_vertices(g: SignedGraph, w) -> SignedGraph:
     return _relabel(len(keep), (e for e in g.edges if w.isdisjoint(e.ends)), relabel)
 
 
+def _edge_vector(e):
+    """The canonical edge vector x(e), a column of the incidence matrix, as
+    (vertex, entry) pairs: +1 at a link's lower end and -sigma at its higher
+    end, 2 for a negative loop, 1 for a half edge, none for a positive loop or
+    a loose edge.  Its zero set is e's hyperplane, gamma . x(e) != 0 is e's
+    coloring constraint, and a link's or half edge's entries are its tau."""
+    k = e.kind
+    if k is _LINK:
+        u, v = e.ends
+        return ((u, 1), (v, -e.sign)) if u < v else ((v, 1), (u, -e.sign))
+    if k is _HALF:
+        return ((e.ends[0], 1),)
+    if k is _LOOP and e.sign == -1:
+        return ((e.ends[0], 2),)
+    return ()
+
+
 def edge_set_sign(g: SignedGraph, s) -> int:
     """Product of signs over an edge set (no repetition); empty product is +1."""
     sign = 1
@@ -467,32 +489,36 @@ def edge_set_sign(g: SignedGraph, s) -> int:
     return sign
 
 
-def enumerate_circles(g: SignedGraph, s=None, cap=DEFAULT_CIRCLE_CAP):
-    """All circles with edges inside s, each once, in canonical order.
+def _signed_circles(n, edges):
+    """Each circle of (n, edges) once, as (edge ids, vertex set, sign), in
+    canonical order: by sorted edge-id tuple.  Loops are circles of length 1
+    and parallel pairs are circles (digons) of length 2.  Each longer circle
+    is walked from its lowest vertex, through higher vertices only."""
+    found = {frozenset([e.id]): (frozenset(e.ends), e.sign) for e in edges if e.kind is _LOOP}
+    adj = _link_adjacency(n, edges)
 
-    Loops are circles of length 1 and parallel pairs are circles (digons) of
-    length 2.  Canonical order: by sorted edge-id tuple.
-    """
-    edges = g.edges if s is None else g.restricted(s)
-    if len(edges) > cap:
-        raise SgError(f"circle enumeration cap exceeded ({len(edges)} > {cap})")
-
-    circles = {frozenset([e.id]) for e in edges if e.kind is _LOOP}
-    adj = _link_adjacency(g.n, edges)
-
-    def dfs(start, v, visited, path):
+    def walk(start, v, verts, path, sign):
         for e, w in adj[v]:
             if e.id in path:
                 continue
             if w == start:
-                circles.add(frozenset(path) | {e.id})
-            elif w > start and w not in visited:
-                dfs(start, w, visited | {w}, path + [e.id])
+                found[frozenset(path) | {e.id}] = (verts, sign * e.sign)
+            elif w > start and w not in verts:
+                walk(start, w, verts | {w}, path + [e.id], sign * e.sign)
 
-    for start in range(g.n):
-        dfs(start, start, {start}, [])
+    for start in range(n):
+        walk(start, start, frozenset([start]), [], 1)
+    for c in sorted(found, key=lambda c: tuple(sorted(c))):
+        yield (c, *found[c])
 
-    return sorted(circles, key=lambda c: tuple(sorted(c)))
+
+def enumerate_circles(g: SignedGraph, s=None, cap=DEFAULT_CIRCLE_CAP):
+    """All circles with edges inside s, each once, in canonical order (see
+    `_signed_circles`); s may hold at most cap edges."""
+    edges = g.edges if s is None else g.restricted(s)
+    if len(edges) > cap:
+        raise SgError(f"circle enumeration cap exceeded ({len(edges)} > {cap})")
+    return [c for c, _, _ in _signed_circles(g.n, edges)]
 
 
 def circle_sign(g: SignedGraph, circle) -> int:

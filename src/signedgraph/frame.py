@@ -12,16 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .core import (
-    SgError,
-    SignedGraph,
-    _LOOSE,
-    _link_adjacency,
-    _potential,
-    edge_set_sign,
-    enumerate_circles,
-)
-from .balance import balance_partition, negative_circle_vertex_sets
+from .core import SgError, SignedGraph, _LOOSE, _link_adjacency, _potential, _signed_circles
+from .balance import _negative_circles, balance_partition
 
 
 @dataclass(frozen=True)
@@ -68,18 +60,14 @@ def enumerate_frame_circuits(g: SignedGraph, n_cap=10, edge_cap=20):
     if g.n > n_cap or len(g.edges) > edge_cap:
         raise SgError("frame-circuit enumeration cap exceeded")
 
-    found = {}
-
-    for c in enumerate_circles(g, cap=edge_cap):
-        if edge_set_sign(g, c) == 1:
-            fc = FrameCircuit("positive_circle", (c,))
-            found[fc.edge_set] = fc
+    circles = list(_signed_circles(g.n, g.edges))
+    found = {c: FrameCircuit("positive_circle", (c,)) for c, _, sign in circles if sign == 1}
     for e in g.edges:
         if e.kind is _LOOSE:
             fc = FrameCircuit("loose_edge", (frozenset([e.id]),))
             found[fc.edge_set] = fc
 
-    negs = negative_circle_vertex_sets(g, cap=edge_cap)
+    negs = _negative_circles(g.edges, circles)
     for (c1, vs1), (c2, vs2) in combinations(negs, 2):
         if c1 & c2:
             continue

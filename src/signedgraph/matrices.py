@@ -5,7 +5,8 @@ rank used by the tests' characteristic-2 checks is in `oracles`.
 Matrices are plain nested lists of Python ints (exact, arbitrary precision);
 rationals enter only inside Gaussian elimination.  The canonical column sign
 fixes the ambiguity the theory leaves open: the lower endpoint of a link gets
-entry +1, a half edge gets +1, a negative loop +2.
+entry +1, a half edge gets +1, a negative loop +2 (`core._edge_vector`).
+This module depends only on `core`.
 """
 
 from __future__ import annotations
@@ -14,30 +15,18 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
-from .core import SgError, SignedGraph, _HALF, _LINK, _LOOP, _LOOSE, enumerate_circles
-from .frame import is_independent
+from .core import SgError, SignedGraph, _HALF, _LINK, _LOOP, _LOOSE, _edge_vector, _graph, _potential
 
 
 def edge_vector(g: SignedGraph, eid):
     """Canonical edge vector of length n (column of the incidence matrix)."""
-    e = g.edge(eid)
-    vec = [0] * g.n
-    if e.kind is _LINK:
-        i, j = min(e.ends), max(e.ends)
-        vec[i] = 1
-        vec[j] = -e.sign
-    elif e.kind is _LOOP:
-        if e.sign == -1:
-            vec[e.ends[0]] = 2
-    elif e.kind is _HALF:
-        vec[e.ends[0]] = 1
-    return vec
+    vec = dict(_edge_vector(g.edge(eid)))
+    return [vec.get(v, 0) for v in range(g.n)]
 
 
 def incidence_matrix(g: SignedGraph):
     """n x m matrix whose columns are the canonical edge vectors, edge order."""
-    cols = [edge_vector(g, e.id) for e in g.edges]
-    return [[col[v] for col in cols] for v in range(g.n)]
+    return incidence_columns(g, g.edge_ids)
 
 
 def adjacency_matrix(g: SignedGraph):
@@ -89,25 +78,22 @@ def reduce(g: SignedGraph) -> SignedGraph:
     """Cancel +/- parallel pairs, drop positive loops and loose edges.
 
     The adjacency matrix is unchanged; the result is the unique reduced graph.
-    Pairs are cancelled greedily in edge-id order."""
-    keep = {
-        e.id: e
-        for e in g.edges
-        if not (e.kind is _LOOSE or (e.kind is _LOOP and e.sign == 1))
-    }
-    changed = True
-    while changed:
-        changed = False
-        links = sorted(
-            (e for e in keep.values() if e.kind is _LINK), key=lambda e: e.id
-        )
-        for e, f in combinations(links, 2):
-            if sorted(e.ends) == sorted(f.ends) and e.sign == -f.sign:
-                del keep[e.id]
-                del keep[f.id]
-                changed = True
-                break
-    return g.with_edges(e for e in g.edges if e.id in keep)
+    Between two vertices with p positive and q negative links, the first
+    min(p, q) of each sign in edge-id order cancel."""
+    parallel = {}  # (lower end, higher end, sign) -> link ids in id order
+    for e in sorted(g.edges, key=lambda e: e.id):
+        if e.kind is _LINK:
+            parallel.setdefault((min(e.ends), max(e.ends), e.sign), []).append(e.id)
+    gone = set()
+    for (u, v, sign), ids in parallel.items():
+        if sign == 1:
+            other = parallel.get((u, v, -1), ())
+            k = min(len(ids), len(other))
+            gone.update(ids[:k], other[:k])
+    return _graph(g.n, [
+        e for e in g.edges
+        if not (e.id in gone or e.kind is _LOOSE or (e.kind is _LOOP and e.sign == 1))
+    ])
 
 
 def _to_fractions(m):
@@ -172,9 +158,8 @@ def bareiss_determinant(m) -> int:
 
 def incidence_columns(g: SignedGraph, s):
     """Incidence submatrix restricted to the columns of s (edge order)."""
-    edges = g.restricted(s)
-    cols = [edge_vector(g, e.id) for e in edges]
-    return [[col[v] for col in cols] for v in range(g.n)]
+    cols = [dict(_edge_vector(e)) for e in g.restricted(s)]
+    return [[col.get(v, 0) for col in cols] for v in range(g.n)]
 
 
 @dataclass(frozen=True)
@@ -190,24 +175,26 @@ class MatrixTreeReport:
 
 def matrix_tree(g: SignedGraph, n_cap=8) -> MatrixTreeReport:
     """det L versus the 4^i-weighted count of n-edge independent sets with
-    exactly i circles, both computed independently."""
+    exactly i circles, both computed independently.
+
+    An n-edge set S is independent iff every component of (V, S) is
+    unbalanced (`core._potential`).  Then each component has as many edges
+    as vertices, so it holds one circle, or a half edge and no circle: S
+    holds one circle per component, less one per half edge."""
     if g.n > n_cap:
         raise SgError(f"matrix-tree cap exceeded (n = {g.n} > {n_cap})")
     det = bareiss_determinant(laplacian(g))
-    circles = enumerate_circles(g, cap=max(len(g.edges), 1))
     counts = [0] * (g.n + 1)
-    ids = sorted(g.edge_ids)
-    for combo in combinations(ids, g.n):
-        s = frozenset(combo)
-        if not is_independent(g, s):
-            continue
-        i = sum(1 for c in circles if c <= s)
-        counts[i] += 1
+    halves = {e.id for e in g.edges if e.kind is _HALF}
+    for s in combinations(sorted(g.edge_ids), g.n):
+        _, root, unbalanced = _potential(g, s)
+        if all(r in unbalanced for r in root):
+            counts[len(unbalanced) - len(halves.intersection(s))] += 1
     weighted = sum(4**i * bi for i, bi in enumerate(counts))
     return MatrixTreeReport(det, tuple(counts), weighted)
 
 
-def spectrum(m, tol=1e-9):
+def spectrum(m):
     """Eigenvalues of a symmetric integer matrix, ascending."""
     import numpy as np  # on first use: no other routine needs numpy
 

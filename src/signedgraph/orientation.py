@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import permutations, product
 
-from .core import SgError, SignedGraph, _HALF, _LINK, _LOOP, _LOOSE
+from .core import SgError, SignedGraph, _LOOP, _LOOSE, _edge_vector
 from .coloring import chromatic_poly_delcon
 from .frame import enumerate_frame_circuits
 from .polynomial import IntPolynomial
@@ -46,22 +46,18 @@ class BidirectedGraph:
 def orient(g: SignedGraph) -> BidirectedGraph:
     """The orientation consistent with the canonical edge vectors.
 
-    For a link with endpoints i < j: tau = +1 at i and -sigma at j.  Negative
-    loop: both ends +1.  Positive loop: ends (+1, -1), the deterministic
-    arbitrary choice.  Half edge: +1."""
+    A link or half edge takes each end's direction from its edge vector:
+    for a link with endpoints i < j, tau = +1 at i and -sigma at j; a half
+    edge, +1.  A loop's two ends are (+1, -sigma): both +1 when negative,
+    and (+1, -1), the deterministic arbitrary choice, when positive."""
     tau = {}
     for e in g.edges:
-        if e.kind is _LINK:
-            lo = min(e.ends)
+        if e.kind is _LOOP:
+            tau[(e.id, 0)], tau[(e.id, 1)] = 1, -e.sign
+        else:
+            entry = dict(_edge_vector(e))
             for slot, v in enumerate(e.ends):
-                tau[(e.id, slot)] = 1 if v == lo else -e.sign
-        elif e.kind is _LOOP:
-            if e.sign == -1:
-                tau[(e.id, 0)] = tau[(e.id, 1)] = 1
-            else:
-                tau[(e.id, 0)], tau[(e.id, 1)] = 1, -1
-        elif e.kind is _HALF:
-            tau[(e.id, 0)] = 1
+                tau[(e.id, slot)] = entry[v]
     return BidirectedGraph(g, tau)
 
 
@@ -129,17 +125,18 @@ class Hyperplane:
 
 
 def arrangement(g: SignedGraph):
-    """One hyperplane per edge, in edge order."""
+    """One hyperplane per edge, in edge order: the zero set of its edge
+    vector, x_i - sigma x_j = 0 for a link, x_i = 0 for a single entry, and
+    0 = 0 for the zero vector (a loose edge or a positive loop)."""
     out = []
     for e in g.edges:
-        if e.kind is _LINK:
-            i, j = min(e.ends), max(e.ends)
-            out.append(Hyperplane("difference", e.id, i, j, e.sign))
-        elif e.kind is _LOOP and e.sign == -1:
-            out.append(Hyperplane("coordinate", e.id, e.ends[0]))
-        elif e.kind is _HALF:
-            out.append(Hyperplane("coordinate", e.id, e.ends[0]))
-        else:  # loose edge or positive loop
+        vec = _edge_vector(e)
+        if len(vec) == 2:
+            (i, _), (j, x) = vec
+            out.append(Hyperplane("difference", e.id, i, j, -x))
+        elif vec:
+            out.append(Hyperplane("coordinate", e.id, vec[0][0]))
+        else:
             out.append(Hyperplane("degenerate", e.id))
     return out
 
@@ -161,21 +158,20 @@ class RegionReport:
 
 
 def region_count(g: SignedGraph, oracle=False, count_acyclic=False, n_cap=6) -> RegionReport:
-    """Region count by the finite-field-free formula (-1)^n p(-1); zero when a
-    degenerate hyperplane (loose edge / positive loop) is present.  oracle and
-    count_acyclic add the sign-vector and acyclic-orientation counts."""
+    """Region count by the finite-field-free formula (-1)^n p(-1).  p is zero,
+    and so is the count, exactly when a degenerate hyperplane (loose edge /
+    positive loop) is present.  oracle and count_acyclic add the sign-vector
+    and acyclic-orientation counts."""
     poly = characteristic_polynomial(g)
-    degenerate = any(h.kind == "degenerate" for h in arrangement(g))
-    formula = 0 if degenerate else (-1) ** g.n * poly(-1)
     sv = None
     ac = None
-    if oracle and not degenerate:
+    if oracle and not poly.is_zero():
         from .oracles import count_regions_by_sign_vectors
 
         sv = count_regions_by_sign_vectors(g, n_cap=n_cap)
     if count_acyclic:
         ac = enumerate_acyclic(g)
-    return RegionReport(formula, poly, ac, sv)
+    return RegionReport((-1) ** g.n * poly(-1), poly, ac, sv)
 
 
 def region_witness_point(g: SignedGraph, b: BidirectedGraph):

@@ -119,6 +119,10 @@ def test_exit_codes(tmp_path, capsys):
     for nu in ("1/0", "x", "1e400"):
         assert run(["gramian", SIGMA4, "--nu", nu]) == 1
         assert "--nu" in capsys.readouterr().err
+    wide = tmp_path / "wide.sg"  # 11 vertices, over the frame-circuit cap of 10
+    wide.write_text("sg 1\nn 11\n")
+    assert run(["frame-circuits", str(wide)]) == 1
+    assert "frame-circuit enumeration cap exceeded" in capsys.readouterr().err
 
 
 def test_chromatic_expansion_rejects_zero_free(capsys):

@@ -60,6 +60,15 @@ def test_graph_order_and_ends_must_be_ints_in_range():
     assert SignedGraph(0, []).edges == ()
 
 
+def test_ends_must_be_a_tuple_and_items_edges():
+    for ends in ([0, 1], range(2), None):
+        with pytest.raises(SgError, match="ends must be a tuple"):
+            Edge("a", EdgeKind.LINK, ends, 1)
+    for edges in ([("a", "link", (0, 1), 1)], [link("a", 0, 1, 1), "b"], [None], 5):
+        with pytest.raises(SgError, match="edges must be an iterable of Edge objects"):
+            SignedGraph(2, edges)
+
+
 def test_duplicate_ids_rejected():
     with pytest.raises(SgError):
         SignedGraph(2, [link("e", 0, 1, 1), link("e", 0, 1, -1)])

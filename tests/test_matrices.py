@@ -121,6 +121,32 @@ def test_reduce_double_digon():
     assert reduce(g).edge_ids == frozenset()
 
 
+def greedy_reduce_ids(g):
+    """The cancellation scan that reduce replaced: over the remaining links
+    in edge-id order, cancel the first opposite-signed parallel pair found,
+    then scan again from the start."""
+    keep = {e.id: e for e in g.edges if e.kind.value in ("link", "half") or e.sign == -1}
+    changed = True
+    while changed:
+        changed = False
+        links = sorted((e for e in keep.values() if e.kind.value == "link"), key=lambda e: e.id)
+        for e, f in combinations(links, 2):
+            if sorted(e.ends) == sorted(f.ends) and e.sign == -f.sign:
+                del keep[e.id], keep[f.id]
+                changed = True
+                break
+    return frozenset(keep)
+
+
+def test_reduce_cancels_as_the_greedy_scan_does():
+    rng = seeded(71)
+    for _ in range(400):
+        g = random_graph(rng, n_max=4, m_max=14)
+        r = reduce(g)
+        assert r.edge_ids == greedy_reduce_ids(g)
+        assert [e.id for e in r.edges] == [e.id for e in g.edges if e.id in r.edge_ids]
+
+
 def test_rational_rank_basics(sigma4):
     assert rational_rank(incidence_matrix(sigma4)) == 4
     assert rational_rank([[0, 0], [0, 0]]) == 0

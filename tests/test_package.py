@@ -1,12 +1,15 @@
 """The package's lazy exports: `signedgraph.X` is always the binding of X in
 the submodule that defines it, and submodules load by name."""
 
+import json
+import subprocess
 import sys
 import types
 
 import pytest
 
 import signedgraph
+from conftest import cli_env
 
 MODULES = ("core", "balance", "minors", "frame", "matrices", "orientation",
            "coloring", "linegraph", "angle", "polynomial", "oracles", "cli")
@@ -57,3 +60,11 @@ def test_dir_lists_every_export_and_submodule():
     assert set(signedgraph.__all__) <= listed
     assert set(MODULES) <= listed
     assert "__version__" in listed
+
+
+def test_matrices_loads_core_alone():
+    code = "import json, sys, signedgraph.matrices; print(json.dumps(sorted(sys.modules)))"
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True, env=cli_env())
+    assert r.returncode == 0, r.stderr
+    loaded = {m for m in json.loads(r.stdout) if m.startswith("signedgraph.")}
+    assert loaded == {"signedgraph.core", "signedgraph.matrices"}

@@ -1,9 +1,13 @@
 """Property tests: the independent routes to one quantity agree on generated
 graphs of all four edge kinds, the text format round-trips, graphs built
 without checks (parse, switchings, minors) are the graphs the public
-constructors build, and switching changes no switching invariant.
+constructors build, switching changes no switching invariant, and every
+reading of the edge vector and of the signed circles agrees with its
+definition.
 
 Runs are derandomized, so every run tries the same examples."""
+
+from itertools import combinations
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -14,6 +18,8 @@ from signedgraph import (
     Edge,
     SgError,
     SignedGraph,
+    adjacency_matrix,
+    arrangement,
     balance_partition,
     characteristic_polynomial,
     chromatic_poly_delcon,
@@ -25,12 +31,21 @@ from signedgraph import (
     contract_set,
     count_proper,
     count_regions_by_sign_vectors,
+    degree_matrix,
     delete_edges,
+    edge_set_sign,
+    edge_vector,
     enumerate_acyclic,
+    enumerate_circles,
     half,
+    incidence_matrix,
+    is_independent,
+    laplacian,
     link,
     loop,
     loose,
+    matrix_tree,
+    orient,
     parse,
     rank,
     region_count,
@@ -39,7 +54,8 @@ from signedgraph import (
     switch_set,
     switching_equivalent,
 )
-from signedgraph.core import delete_vertices
+from signedgraph.coloring import _constraints
+from signedgraph.core import _signed_circles, delete_vertices
 
 PROPERTY = settings(
     derandomize=True,
@@ -177,3 +193,72 @@ def test_switching_invariants(data, g):
     assert classify_balancing_edges(h) == classify_balancing_edges(g)
     assert chromatic_poly_delcon(h) == chromatic_poly_delcon(g)
     assert switching_equivalent(contract_set(g, s)[0], contract_set(h, s)[0]) is not None
+
+
+@PROPERTY
+@given(graphs(n_max=5, m_max=9))
+def test_signed_circles_carry_their_sign_and_vertex_set(g):
+    circles = list(_signed_circles(g.n, g.edges))
+    assert [c for c, _, _ in circles] == enumerate_circles(g)
+    for c, verts, sign in circles:
+        assert sign == edge_set_sign(g, c)
+        assert verts == {v for eid in c for v in g.edge(eid).ends}
+
+
+def circle_containment_counts(g):
+    """The count matrix_tree replaced: for each independent n-edge set, the
+    number of circles inside it."""
+    circles = enumerate_circles(g, cap=len(g.edges))
+    counts = [0] * (g.n + 1)
+    for combo in combinations(sorted(g.edge_ids), g.n):
+        s = frozenset(combo)
+        if is_independent(g, s):
+            counts[sum(1 for c in circles if c <= s)] += 1
+    return tuple(counts)
+
+
+@PROPERTY
+@given(graphs(n_max=5, m_max=9))
+def test_matrix_tree_counts_the_circles_of_independent_sets(g):
+    rep = matrix_tree(g)
+    assert rep.circle_counts == circle_containment_counts(g)
+    assert rep.consistent
+
+
+@PROPERTY
+@given(graphs(n_max=6, m_max=10))
+def test_laplacian_is_d_minus_a_and_h_h_transpose(g):
+    d, a, h = degree_matrix(g), adjacency_matrix(g), incidence_matrix(g)
+    rows = range(g.n)
+    assert laplacian(g) == [[d[i][j] - a[i][j] for j in rows] for i in rows]
+    assert laplacian(g) == [[sum(x * y for x, y in zip(h[i], h[j])) for j in rows] for i in rows]
+
+
+def on_hyperplane(h, p):
+    if h.kind == "difference":
+        return p[h.j] == h.sign * p[h.i]
+    return h.kind == "degenerate" or p[h.i] == 0
+
+
+def violates(constraints, p):
+    """Whether the coloring p breaks a constraint set of `_constraints`."""
+    return constraints is None or any(
+        p[v] == s * p[u] if s else p[v] == 0 for u, v, s in constraints
+    )
+
+
+@PROPERTY
+@given(graphs(), st.lists(st.tuples(*[st.integers(-2, 2)] * 5), min_size=1, max_size=6))
+def test_hyperplane_constraint_and_tau_agree_with_the_edge_vector(g, points):
+    """Each edge's hyperplane is the zero set of its edge vector x, its
+    coloring constraint is p . x != 0, and the net incidence of its ends
+    under orient is x."""
+    b = orient(g)
+    for e, h in zip(g.edges, arrangement(g)):
+        x = edge_vector(g, e.id)
+        assert [b.eta(v, e.id) for v in range(g.n)] == x
+        cons = _constraints(SignedGraph(g.n, [e]), zero_free=False)
+        for p in points:
+            on = sum(c * y for c, y in zip(x, p)) == 0
+            assert on_hyperplane(h, p) == on
+            assert violates(cons, p) == on
