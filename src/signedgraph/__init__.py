@@ -61,6 +61,7 @@ _EXPORTS = {
     "oracles": (
         "balance_closure", "chromatic_poly_subset", "chromatic_via_expansion",
         "closure_by_circuits", "count_regions_by_sign_vectors", "max_used_pairs_bruteforce",
+        "min_balancing_set_exhaustive",
     ),
     "cli": (),
 }

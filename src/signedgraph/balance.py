@@ -19,6 +19,10 @@ that for every edge and vertex at once, in O(n + m).  The rules are stated
 on `classify_balancing_edges` and `balancing_vertices`; the definitional
 recomputations (one balance test per deleted edge or vertex) are their test
 oracles.
+
+A minimum balancing set is the frustrated set of a best switching: it costs
+2^(n_i - 1) switchings per unbalanced link component of order n_i <=
+`DEFAULT_BALANCING_CAP`; the search over edge subsets is its oracle.
 """
 
 from __future__ import annotations
@@ -318,17 +322,40 @@ def balancing_vertices(g: SignedGraph) -> frozenset:
 
 
 def min_balancing_set(g: SignedGraph, cap=DEFAULT_BALANCING_CAP) -> frozenset:
-    """Minimum total balancing set by exhaustive search in increasing size,
-    ties broken lexicographically by edge id.  NP-hard in general; desk scale."""
-    ids = sorted(g.edge_ids)
-    if len(ids) > cap:
-        raise SgError(f"balancing-set cap exceeded ({len(ids)} > {cap})")
-    all_ids = g.edge_ids
-    for size in range(len(ids) + 1):
-        for combo in combinations(ids, size):
-            if is_balanced(g, all_ids - frozenset(combo)):
-                return frozenset(combo)
-    raise AssertionError("unreachable: deleting all edges always balances")
+    """A minimum balancing set: every half edge and negative loop, plus the
+    frustrated links of a best switching, found among the 2^(n_i - 1) in
+    Gray-code order, of each unbalanced link component (order n_i <= cap).
+    Ties go to the least sorted id tuple: with bit i for a component's i-th
+    largest link id, of two masks of equal size the greater holds the least
+    element of their symmetric difference; per-component choices compose."""
+    links = [e for e in g.edges if e.kind is _LINK]
+    zeta, root, unbalanced = _potential(_graph(g.n, links))
+    out = [e.id for e in g.edges if e.kind is _HALF or (e.kind is _LOOP and e.sign < 0)]
+    comps = {r: [] for r in sorted(unbalanced)}
+    for e in links:
+        if root[e.ends[0]] in comps:
+            comps[root[e.ends[0]]].append(e)
+    for comp in comps.values():
+        ids = sorted((e.id for e in comp), reverse=True)
+        bit = {eid: 1 << i for i, eid in enumerate(ids)}
+        at = {}  # v -> mask of the links at v
+        mask = 0  # the frustrated links under the current switching
+        for e in comp:
+            u, v = e.ends
+            at[u], at[v] = at.get(u, 0) | bit[e.id], at.get(v, 0) | bit[e.id]
+            if zeta[u] * e.sign * zeta[v] < 0:
+                mask |= bit[e.id]
+        if len(at) > cap:
+            raise SgError(f"balancing-set cap exceeded (component order {len(at)} > {cap})")
+        flips = list(at.values())[1:]  # the first vertex keeps its side
+        best, best_size = mask, mask.bit_count()
+        for i in range(1, 1 << len(flips)):
+            mask ^= flips[(i & -i).bit_length() - 1]
+            size = mask.bit_count()
+            if size < best_size or (size == best_size and mask > best):
+                best, best_size = mask, size
+        out += [eid for eid in ids if best & bit[eid]]
+    return frozenset(out)
 
 
 def negative_circle_vertex_sets(g: SignedGraph, cap=20):

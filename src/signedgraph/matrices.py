@@ -77,9 +77,10 @@ def laplacian(g: SignedGraph):
 def reduce(g: SignedGraph) -> SignedGraph:
     """Cancel +/- parallel pairs, drop positive loops and loose edges.
 
-    The adjacency matrix is unchanged; the result is the unique reduced graph.
     Between two vertices with p positive and q negative links, the first
-    min(p, q) of each sign in edge-id order cancel."""
+    min(p, q) of each sign in edge-id order cancel; the result is the unique
+    reduced graph.  Its adjacency matrix is g's less the diagonal +2 of each
+    positive loop: a lone positive loop's [[2]] becomes [[0]]."""
     parallel = {}  # (lower end, higher end, sign) -> link ids in id order
     for e in sorted(g.edges, key=lambda e: e.id):
         if e.kind is _LINK:

@@ -14,7 +14,7 @@ from __future__ import annotations
 from itertools import combinations, permutations, product
 
 from .core import SgError, SignedGraph, _LOOSE, delete_vertices, edge_set_sign, enumerate_circles
-from .balance import balance_partition
+from .balance import balance_partition, is_balanced
 from .coloring import DEFAULT_COUNT_CAP, _constraints, _delcon, is_proper, make_signed
 from .polynomial import IntPolynomial
 
@@ -33,6 +33,18 @@ def chromatic_poly_subset(g: SignedGraph, zero_free=False, edge_cap=20) -> IntPo
             continue
         coeffs[part.b] += (-1) ** len(s)
     return IntPolynomial(coeffs)
+
+
+def min_balancing_set_exhaustive(g: SignedGraph) -> frozenset:
+    """The first edge set, by size and then by sorted id tuple, whose
+    deletion balances g.  Oracle for balance.min_balancing_set; m <= 20."""
+    ids = sorted(g.edge_ids)
+    if len(ids) > 20:
+        raise SgError(f"balancing-set cap exceeded ({len(ids)} > 20)")
+    for size in range(len(ids) + 1):  # deleting every edge balances g
+        for combo in combinations(ids, size):
+            if is_balanced(g, g.edge_ids.difference(combo)):
+                return frozenset(combo)
 
 
 def stable_vertex_sets(g: SignedGraph):

@@ -61,48 +61,63 @@ def orient(g: SignedGraph) -> BidirectedGraph:
     return BidirectedGraph(g, tau)
 
 
-def _circuit_has_source_or_sink(b: BidirectedGraph, circuit_edges) -> bool:
-    ends_at = {}
-    for eid in circuit_edges:
-        e = b.graph.edge(eid)
-        for slot, v in enumerate(e.ends):
-            ends_at.setdefault(v, []).append(b.tau[(eid, slot)])
-    for signs in ends_at.values():
-        if all(t == 1 for t in signs) or all(t == -1 for t in signs):
-            return True
-    return False
+def _circuit_tables(g: SignedGraph, tau, circuits):
+    """Per frame circuit, a mask pair (M, N) over the non-loose edges for
+    each of its vertices v: M marks the circuit's edges with an end at v, N
+    those whose end at v has tau = -1.  Reversing the edges of mask x makes
+    v a source or sink iff (x ^ N) & M is 0 or M.  A vertex where a positive
+    loop's ends disagree never is and is left out; a loose edge has none."""
+    bit = {e.id: 1 << i for i, e in enumerate(e for e in g.edges if e.kind is not _LOOSE)}
+    tables = []
+    for fc in circuits:
+        masks = {}  # v -> [M, N]
+        never = set()
+        for eid in fc.edge_set:
+            e = g._by_id[eid]
+            if e.kind is _LOOP and tau[(eid, 0)] != tau[(eid, 1)]:
+                never.add(e.ends[0])
+                continue
+            for slot, v in enumerate(e.ends):
+                mn = masks.setdefault(v, [0, 0])
+                mn[0] |= bit[eid]
+                if tau[(eid, slot)] < 0:
+                    mn[1] |= bit[eid]
+        tables.append(tuple((m, n) for v, (m, n) in masks.items() if v not in never))
+    return sorted(tables, key=len)  # the fewest vertices first: those fail most often
+
+
+def _acyclic(tables, x) -> bool:
+    """True iff orientation mask x gives every circuit a source or a sink."""
+    for table in tables:
+        for m, n in table:
+            y = (x ^ n) & m
+            if not y or y == m:
+                break
+        else:
+            return False
+    return True
 
 
 def is_acyclic(b: BidirectedGraph, circuits=None) -> bool:
     """True iff every frame circuit's restriction has a source or a sink.
 
     A loose edge is a circuit with no vertices, hence never acyclic."""
+    g = b.graph
     if circuits is None:
-        g = b.graph
         circuits = enumerate_frame_circuits(g, n_cap=g.n, edge_cap=len(g.edges))
-    return all(_circuit_has_source_or_sink(b, fc.edge_set) for fc in circuits)
+    return _acyclic(_circuit_tables(g, b.tau, circuits), 0)
 
 
 def enumerate_acyclic(g: SignedGraph, end_cap=24) -> int:
-    """Count acyclic orientations by exhausting the 2^k consistent taus
-    (one two-way choice per link, loop, or half edge)."""
-    orientable = [e for e in g.edges if e.kind is not _LOOSE]
+    """Count acyclic orientations: the 2^k masks x over the k non-loose
+    edges of `orient(g)`, each tested against circuit tables built once."""
     n_ends = sum(len(e.ends) for e in g.edges)
     if n_ends > end_cap:
         raise SgError(f"orientation cap exceeded ({n_ends} ends > {end_cap})")
-    base = orient(g)
     circuits = enumerate_frame_circuits(g, n_cap=g.n, edge_cap=len(g.edges))
-    count = 0
-    for flips in product((1, -1), repeat=len(orientable)):
-        tau = dict(base.tau)
-        for e, flip in zip(orientable, flips):
-            if flip == -1:
-                for slot in range(len(e.ends)):
-                    tau[(e.id, slot)] = -tau[(e.id, slot)]
-        b = BidirectedGraph(g, tau)
-        if is_acyclic(b, circuits):
-            count += 1
-    return count
+    tables = _circuit_tables(g, orient(g).tau, circuits)
+    k = sum(1 for e in g.edges if e.kind is not _LOOSE)
+    return sum(1 for x in range(1 << k) if _acyclic(tables, x))
 
 
 @dataclass(frozen=True)

@@ -344,6 +344,19 @@ def test_min_balancing_set():
     assert len(min_balancing_set(g2)) == 2
 
 
+def test_min_balancing_set_caps_the_order_of_an_unbalanced_component():
+    # 24 links in eight triangles: beyond the old cap on m, each component small
+    g = SignedGraph(24, [e for i in range(8) for e in neg_triangle(3 * i)])
+    s = min_balancing_set(g)
+    assert s == {f"t{3 * i}a" for i in range(8)}
+    assert is_balanced(g, g.edge_ids - s)
+    cycle = [link(f"c{i}", i, (i + 1) % 21, -1 if i == 0 else 1) for i in range(21)]
+    with pytest.raises(SgError, match=r"balancing-set cap exceeded \(component order 21 > 20\)"):
+        min_balancing_set(SignedGraph(21, cycle))
+    tree = [link(f"p{i}", i, i + 1, -1) for i in range(20)]
+    assert min_balancing_set(SignedGraph(21, tree + [half("h", 7)])) == {"h"}
+
+
 def test_min_balancing_set_definitional():
     rng = seeded(77)
     for _ in range(25):

@@ -1,13 +1,13 @@
 """Property tests: the independent routes to one quantity agree on generated
 graphs of all four edge kinds, the text format round-trips, graphs built
 without checks (parse, switchings, minors) are the graphs the public
-constructors build, switching changes no switching invariant, and every
+constructors build, switching changes no switching invariant, every
 reading of the edge vector and of the signed circles agrees with its
-definition.
+definition, and closure obeys the closure axioms.
 
 Runs are derandomized, so every run tries the same examples."""
 
-from itertools import combinations
+from itertools import combinations, product
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 import pytest
 
 from signedgraph import (
+    BidirectedGraph,
     Edge,
     SgError,
     SignedGraph,
@@ -37,18 +38,23 @@ from signedgraph import (
     edge_vector,
     enumerate_acyclic,
     enumerate_circles,
+    enumerate_frame_circuits,
     half,
     incidence_matrix,
+    is_acyclic,
     is_independent,
     laplacian,
     link,
     loop,
     loose,
     matrix_tree,
+    min_balancing_set,
+    min_balancing_set_exhaustive,
     orient,
     parse,
     rank,
     region_count,
+    region_witness_point,
     serialize,
     switch,
     switch_set,
@@ -119,6 +125,64 @@ def test_every_chromatic_route_agrees(g):
 def test_region_formula_equals_sign_vectors_and_acyclic_count(g):
     formula = region_count(g).region_count
     assert formula == count_regions_by_sign_vectors(g) == enumerate_acyclic(g)
+
+
+@st.composite
+def disjoint_unions(draw, parts_max=3, n_max=4, m_max=4):
+    """Up to parts_max graphs of `graphs` side by side, with the ids e0, e1,
+    ... dealt out across the parts in a drawn order, so that a tie inside
+    one component meets the other components in the id order."""
+    parts = draw(st.lists(graphs(n_max=n_max, m_max=m_max), min_size=1, max_size=parts_max))
+    names = iter(draw(st.permutations(range(sum(len(p.edges) for p in parts)))))
+    edges, shift = [], 0
+    for part in parts:
+        for e in part.edges:
+            edges.append(Edge(f"e{next(names)}", e.kind, tuple(v + shift for v in e.ends), e.sign))
+        shift += part.n
+    return SignedGraph(shift, edges)
+
+
+@PROPERTY
+@given(disjoint_unions())
+def test_min_balancing_set_is_the_first_balancing_set_by_size_and_ids(g):
+    assert min_balancing_set(g) == min_balancing_set_exhaustive(g)
+
+
+def orientations(g):
+    """Every bidirection of g: each link, loop and half edge in each of its
+    two directions."""
+    base = orient(g).tau
+    ends = [[(e.id, slot) for slot in range(len(e.ends))] for e in g.edges if e.ends]
+    for flips in product((1, -1), repeat=len(ends)):
+        tau = dict(base)
+        for keys, flip in zip(ends, flips):
+            for key in keys:
+                tau[key] *= flip
+        yield BidirectedGraph(g, tau)
+
+
+@PROPERTY
+@given(graphs(n_max=4, m_max=5))
+def test_an_orientation_is_acyclic_exactly_when_its_region_is_nonempty(g):
+    """Every region of a subarrangement of B_n holds a signed-permutation
+    point, so region_witness_point decides whether R(tau) is empty."""
+    circuits = enumerate_frame_circuits(g, n_cap=g.n, edge_cap=len(g.edges))
+    acyclic = 0
+    for b in orientations(g):
+        assert is_acyclic(b, circuits) == (region_witness_point(g, b) is not None)
+        acyclic += is_acyclic(b)
+    assert acyclic == enumerate_acyclic(g)
+
+
+@PROPERTY
+@given(st.data(), graphs(n_max=6, m_max=10))
+def test_closure_is_extensive_idempotent_and_monotone(data, g):
+    t = subset(data.draw, [e.id for e in g.edges])
+    s = frozenset(subset(data.draw, t))
+    closed = closure(g, s)
+    assert s <= closed
+    assert closure(g, closed) == closed
+    assert closed <= closure(g, t)
 
 
 @PROPERTY
