@@ -41,7 +41,7 @@ _EXPORTS = {
     "orientation": (
         "BidirectedGraph", "Hyperplane", "RegionReport", "arrangement",
         "characteristic_polynomial", "enumerate_acyclic", "is_acyclic", "orient",
-        "region_count", "region_witness_point",
+        "region_count",
     ),
     "coloring": (
         "catalog", "chromatic_numbers", "chromatic_poly_delcon", "color_pair_capacity",
@@ -61,7 +61,7 @@ _EXPORTS = {
     "oracles": (
         "balance_closure", "chromatic_poly_subset", "chromatic_via_expansion",
         "closure_by_circuits", "count_regions_by_sign_vectors", "max_used_pairs_bruteforce",
-        "min_balancing_set_exhaustive",
+        "min_balancing_set_exhaustive", "region_witness_point",
     ),
     "cli": (),
 }

@@ -166,11 +166,11 @@ def verify_representation(g: SignedGraph, rep: AngleRepresentation) -> bool:
     return True
 
 
-def construct_gramian(g: SignedGraph, nu, anti=False, tol=TOL):
+def construct_gramian(g: SignedGraph, nu, anti=False):
     """Factor A + nu*I (or -A + nu*I) as a Gram matrix by eigendecomposition.
 
     Returns None when the smallest eigenvalue of (possibly negated) A is
-    below -nu - tol; otherwise the vectors span dimension rank(A + nu*I)."""
+    below -nu - TOL; otherwise the vectors span dimension rank(A + nu*I)."""
     import numpy as np  # on first use: no other routine needs numpy
 
     a = np.array(_simple_adjacency(g), dtype=float)
@@ -184,10 +184,10 @@ def construct_gramian(g: SignedGraph, nu, anti=False, tol=TOL):
         raise SgError("nu must be within float range") from None
     m = a + shift * np.eye(g.n)
     w, vecs = np.linalg.eigh(m)
-    if w.min() < -tol:
+    if w.min() < -TOL:
         return None
     w = np.clip(w, 0.0, None)
-    keep = [i for i in range(len(w)) if w[i] > tol]
+    keep = [i for i in range(len(w)) if w[i] > TOL]
     rho = tuple(
         tuple(vecs[v, i] * math.sqrt(w[i]) for i in keep) for v in range(g.n)
     )

@@ -21,8 +21,8 @@ recomputations (one balance test per deleted edge or vertex) are their test
 oracles.
 
 A minimum balancing set is the frustrated set of a best switching: it costs
-2^(n_i - 1) switchings per unbalanced link component of order n_i <=
-`DEFAULT_BALANCING_CAP`; the search over edge subsets is its oracle.
+2^(n_i - 1) switchings per unbalanced link component of order n_i, at most
+the balancing-set cap (`core.CAPS`); the search over edge subsets is its oracle.
 """
 
 from __future__ import annotations
@@ -44,11 +44,10 @@ from .core import (
     _edge,
     _graph,
     _link_adjacency,
+    _cap,
     _potential,
     _signed_circles,
 )
-
-DEFAULT_BALANCING_CAP = 20
 
 
 @dataclass(frozen=True)
@@ -321,10 +320,10 @@ def balancing_vertices(g: SignedGraph) -> frozenset:
     )
 
 
-def min_balancing_set(g: SignedGraph, cap=DEFAULT_BALANCING_CAP) -> frozenset:
+def min_balancing_set(g: SignedGraph) -> frozenset:
     """A minimum balancing set: every half edge and negative loop, plus the
     frustrated links of a best switching, found among the 2^(n_i - 1) in
-    Gray-code order, of each unbalanced link component (order n_i <= cap).
+    Gray-code order, of each unbalanced link component (order n_i, capped).
     Ties go to the least sorted id tuple: with bit i for a component's i-th
     largest link id, of two masks of equal size the greater holds the least
     element of their symmetric difference; per-component choices compose."""
@@ -345,8 +344,7 @@ def min_balancing_set(g: SignedGraph, cap=DEFAULT_BALANCING_CAP) -> frozenset:
             at[u], at[v] = at.get(u, 0) | bit[e.id], at.get(v, 0) | bit[e.id]
             if zeta[u] * e.sign * zeta[v] < 0:
                 mask |= bit[e.id]
-        if len(at) > cap:
-            raise SgError(f"balancing-set cap exceeded (component order {len(at)} > {cap})")
+        _cap("balancing-set", len(at))
         flips = list(at.values())[1:]  # the first vertex keeps its side
         best, best_size = mask, mask.bit_count()
         for i in range(1, 1 << len(flips)):
@@ -358,14 +356,6 @@ def min_balancing_set(g: SignedGraph, cap=DEFAULT_BALANCING_CAP) -> frozenset:
     return frozenset(out)
 
 
-def negative_circle_vertex_sets(g: SignedGraph, cap=20):
-    """Vertex sets of all negative circles, counting half edges and negative
-    loops as negative circles (the handcuff convention)."""
-    if len(g.edges) > cap:
-        raise SgError(f"circle enumeration cap exceeded ({len(g.edges)} > {cap})")
-    return _negative_circles(g.edges, _signed_circles(g.n, g.edges))
-
-
 def _negative_circles(edges, signed_circles):
     """(edge ids, vertex set) of each negative circle among signed_circles
     (see `core._signed_circles`), then of each half edge of edges."""
@@ -374,8 +364,10 @@ def _negative_circles(edges, signed_circles):
     return out
 
 
-def has_two_disjoint_negative_circles(g: SignedGraph, cap=20) -> bool:
-    circles = negative_circle_vertex_sets(g, cap=cap)
+def has_two_disjoint_negative_circles(g: SignedGraph) -> bool:
+    """True iff two vertex-disjoint negative circles exist; a half edge counts as one."""
+    _cap("circle enumeration", len(g.edges))
+    circles = _negative_circles(g.edges, _signed_circles(g.n, g.edges))
     return any(not vs1 & vs2 for (_, vs1), (_, vs2) in combinations(circles, 2))
 
 

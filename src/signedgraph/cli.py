@@ -22,8 +22,6 @@ from .core import SgError, SignedGraph, parse, serialize
 
 SCHEMA = "sgtool/1"
 
-DEFAULT_MAX_EDGES = 64
-
 
 def _fmt_float(x):
     return float(f"{x:.12g}")
@@ -48,13 +46,13 @@ def _load(args) -> SignedGraph:
     if cap is None:
         env = os.environ.get("SGTOOL_MAX_EDGES")
         try:
-            cap = int(env) if env else DEFAULT_MAX_EDGES
+            cap = int(env) if env else None
         except ValueError:
             raise SgError(f"SGTOOL_MAX_EDGES must be an integer, got {env!r}") from None
     else:
         print(f"warning: edge cap overridden to {cap}", file=sys.stderr)
-    if len(g.edges) > cap:
-        raise SgError(f"input has {len(g.edges)} edges, cap is {cap} (see --max-edges)")
+    core._cap("input-vertex", g.n)
+    core._cap("input-edge", len(g.edges), cap)
     return g
 
 

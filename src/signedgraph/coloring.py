@@ -16,11 +16,9 @@ from fractions import Fraction
 from itertools import combinations, product, zip_longest
 from math import comb
 
-from .core import SgError, SignedGraph, _HALF, _LOOP, _LOOSE, _edge_vector, _find, half, link, loop
+from .core import SgError, SignedGraph, _HALF, _LOOP, _LOOSE, _cap, _edge_vector, _find, half, link, loop
 from .minors import contract_set
 from .polynomial import IntPolynomial
-
-DEFAULT_COUNT_CAP = 2_000_000
 
 
 # ---------------------------------------------------------------------------
@@ -43,11 +41,9 @@ def is_proper(g: SignedGraph, gamma) -> bool:
     return True
 
 
-def count_proper(g: SignedGraph, k, zero_free=False, cap=DEFAULT_COUNT_CAP) -> int:
+def count_proper(g: SignedGraph, k, zero_free=False) -> int:
     colors = [c for c in range(-k, k + 1) if not (zero_free and c == 0)]
-    total = len(colors) ** g.n
-    if total > cap:
-        raise SgError(f"coloration cap exceeded ({total} > {cap})")
+    _cap("coloration", len(colors) ** g.n)
     return sum(1 for gamma in product(colors, repeat=g.n) if is_proper(g, gamma))
 
 
@@ -174,6 +170,7 @@ def unsigned_flats(n, edge_list):
     endpoints are joined by S lies in S."""
     edges = list(edge_list)
     m = len(edges)
+    _cap("closed-set", m)
     flats = []
     for mask in range(1 << m):
         sub = [edges[i] for i in range(m) if mask >> i & 1]

@@ -20,13 +20,35 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
 
-DEFAULT_CIRCLE_CAP = 20
+# Every cap on an exponential routine or on sgtool's input: name -> (limit, quantity).
+CAPS = {
+    "circle enumeration": (20, "edges"),  # enumerate_circles, has_two_disjoint_negative_circles
+    "frame-circuit enumeration": (10, "vertices"),  # enumerate_frame_circuits
+    "frame-circuit edge": (20, "edges"),  # enumerate_frame_circuits
+    "closed-set": (16, "edges"),  # closed_sets, the all-negative catalog's flats
+    "balancing-set": (20, "component order"),  # min_balancing_set, per unbalanced component
+    "exhaustive balancing-set": (20, "edges"),  # oracles.min_balancing_set_exhaustive
+    "orientation": (24, "edge ends"),  # enumerate_acyclic, is_acyclic without circuits
+    "coloration": (2_000_000, "colorations"),  # count_proper, oracles.max_used_pairs_bruteforce
+    "subset-expansion": (20, "edges"),  # oracles.chromatic_poly_subset
+    "region-oracle": (6, "vertices"),  # oracles' signed-permutation points
+    "matrix-tree": (8, "vertices"),  # matrix_tree
+    "input-edge": (64, "edges"),  # sgtool, unless --max-edges or SGTOOL_MAX_EDGES sets it
+    "input-vertex": (10**6, "vertices"),  # sgtool
+}
 _id_ok = re.compile(r"[^\s#,]+").fullmatch
 _BAD_ID = "bad edge id {!r}: need a nonempty string without whitespace, '#', ','"
 
 
 class SgError(Exception):
-    """Domain error (bad input, cap exceeded, invalid reference)."""
+    """Domain error (bad input, an exceeded cap, an invalid reference)."""
+
+
+def _cap(name, used, limit=None):
+    """Raise SgError if `used` exceeds cap `name`, or `limit` where a caller sets one."""
+    limit = CAPS[name][0] if limit is None else limit
+    if used > limit:
+        raise SgError(f"{name} cap exceeded ({CAPS[name][1]} {used} > {limit})")
 
 
 class EdgeKind(Enum):
@@ -512,12 +534,11 @@ def _signed_circles(n, edges):
         yield (c, *found[c])
 
 
-def enumerate_circles(g: SignedGraph, s=None, cap=DEFAULT_CIRCLE_CAP):
+def enumerate_circles(g: SignedGraph, s=None, cap=CAPS["circle enumeration"][0]):
     """All circles with edges inside s, each once, in canonical order (see
     `_signed_circles`); s may hold at most cap edges."""
     edges = g.edges if s is None else g.restricted(s)
-    if len(edges) > cap:
-        raise SgError(f"circle enumeration cap exceeded ({len(edges)} > {cap})")
+    _cap("circle enumeration", len(edges), cap)
     return [c for c, _, _ in _signed_circles(g.n, edges)]
 
 

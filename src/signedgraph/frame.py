@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .core import SgError, SignedGraph, _LOOSE, _link_adjacency, _potential, _signed_circles
+from .core import CAPS, SignedGraph, _LOOSE, _cap, _link_adjacency, _potential, _signed_circles
 from .balance import _negative_circles, balance_partition
 
 
@@ -55,11 +55,16 @@ def _connecting_paths(g: SignedGraph, vs1, vs2, forbidden_edges):
     return paths
 
 
-def enumerate_frame_circuits(g: SignedGraph, n_cap=10, edge_cap=20):
+def enumerate_frame_circuits(g: SignedGraph, n_cap=CAPS["frame-circuit enumeration"][0],
+                             edge_cap=CAPS["frame-circuit edge"][0]):
     """All frame circuits, each once, canonically ordered by edge set."""
-    if g.n > n_cap or len(g.edges) > edge_cap:
-        raise SgError("frame-circuit enumeration cap exceeded")
+    _cap("frame-circuit enumeration", g.n, n_cap)
+    _cap("frame-circuit edge", len(g.edges), edge_cap)
+    return _frame_circuits(g)
 
+
+def _frame_circuits(g: SignedGraph):
+    """`enumerate_frame_circuits` without its caps, for the callers that lift them."""
     circles = list(_signed_circles(g.n, g.edges))
     found = {c: FrameCircuit("positive_circle", (c,)) for c, _, sign in circles if sign == 1}
     for e in g.edges:
@@ -87,7 +92,7 @@ def is_frame_circuit(g: SignedGraph, s):
     """Classify s if it is a frame circuit, else None."""
     s = frozenset(s)
     sub = g.with_edges(g.restricted(s))
-    for fc in enumerate_frame_circuits(sub, n_cap=sub.n, edge_cap=len(s)):
+    for fc in _frame_circuits(sub):
         if fc.edge_set == s:
             return fc
     return None
@@ -122,10 +127,9 @@ class ClosedSetLattice:
         return self.elements[a] <= self.elements[b]
 
 
-def closed_sets(g: SignedGraph, cap=16) -> ClosedSetLattice:
+def closed_sets(g: SignedGraph) -> ClosedSetLattice:
     ids = sorted(g.edge_ids)
-    if len(ids) > cap:
-        raise SgError(f"closed-set cap exceeded ({len(ids)} > {cap})")
+    _cap("closed-set", len(ids))
     closed = []
     for mask in range(1 << len(ids)):
         s = frozenset(ids[i] for i in range(len(ids)) if mask >> i & 1)

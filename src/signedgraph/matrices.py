@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
-from .core import SgError, SignedGraph, _HALF, _LINK, _LOOP, _LOOSE, _edge_vector, _graph, _potential
+from .core import SgError, SignedGraph, _HALF, _LINK, _LOOP, _LOOSE, _cap, _edge_vector, _graph, _potential
 
 
 def edge_vector(g: SignedGraph, eid):
@@ -174,7 +174,7 @@ class MatrixTreeReport:
         return self.det_laplacian == self.weighted_sum
 
 
-def matrix_tree(g: SignedGraph, n_cap=8) -> MatrixTreeReport:
+def matrix_tree(g: SignedGraph) -> MatrixTreeReport:
     """det L versus the 4^i-weighted count of n-edge independent sets with
     exactly i circles, both computed independently.
 
@@ -182,8 +182,7 @@ def matrix_tree(g: SignedGraph, n_cap=8) -> MatrixTreeReport:
     unbalanced (`core._potential`).  Then each component has as many edges
     as vertices, so it holds one circle, or a half edge and no circle: S
     holds one circle per component, less one per half edge."""
-    if g.n > n_cap:
-        raise SgError(f"matrix-tree cap exceeded (n = {g.n} > {n_cap})")
+    _cap("matrix-tree", g.n)
     det = bareiss_determinant(laplacian(g))
     counts = [0] * (g.n + 1)
     halves = {e.id for e in g.edges if e.kind is _HALF}

@@ -13,18 +13,17 @@ from __future__ import annotations
 
 from itertools import combinations, permutations, product
 
-from .core import SgError, SignedGraph, _LOOSE, delete_vertices, edge_set_sign, enumerate_circles
+from .core import SignedGraph, _LOOSE, _cap, delete_vertices, edge_set_sign, enumerate_circles
 from .balance import balance_partition, is_balanced
-from .coloring import DEFAULT_COUNT_CAP, _constraints, _delcon, is_proper, make_signed
+from .coloring import _constraints, _delcon, is_proper, make_signed
 from .polynomial import IntPolynomial
 
 
-def chromatic_poly_subset(g: SignedGraph, zero_free=False, edge_cap=20) -> IntPolynomial:
+def chromatic_poly_subset(g: SignedGraph, zero_free=False) -> IntPolynomial:
     """Sum over edge subsets of (-1)^|S| lambda^{b(S)} (balanced S only for
     the zero-free polynomial).  Oracle for coloring.chromatic_poly_delcon."""
     ids = sorted(g.edge_ids)
-    if len(ids) > edge_cap:
-        raise SgError(f"subset-expansion cap exceeded ({len(ids)} > {edge_cap})")
+    _cap("subset-expansion", len(ids))
     coeffs = [0] * (g.n + 1)
     for mask in range(1 << len(ids)):
         s = frozenset(ids[i] for i in range(len(ids)) if mask >> i & 1)
@@ -37,10 +36,9 @@ def chromatic_poly_subset(g: SignedGraph, zero_free=False, edge_cap=20) -> IntPo
 
 def min_balancing_set_exhaustive(g: SignedGraph) -> frozenset:
     """The first edge set, by size and then by sorted id tuple, whose
-    deletion balances g.  Oracle for balance.min_balancing_set; m <= 20."""
+    deletion balances g.  Oracle for balance.min_balancing_set."""
     ids = sorted(g.edge_ids)
-    if len(ids) > 20:
-        raise SgError(f"balancing-set cap exceeded ({len(ids)} > 20)")
+    _cap("exhaustive balancing-set", len(ids))
     for size in range(len(ids) + 1):  # deleting every edge balances g
         for combo in combinations(ids, size):
             if is_balanced(g, g.edge_ids.difference(combo)):
@@ -70,46 +68,66 @@ def chromatic_via_expansion(g: SignedGraph) -> IntPolynomial:
     return total.compose_affine(1, -1).as_int()
 
 
-def count_regions_by_sign_vectors(g: SignedGraph, n_cap=6) -> int:
-    """Exact region count: distinct sign vectors of all signed-permutation
-    points (coordinates are distinct values 1..n with arbitrary signs).
+def _signed_permutation_points(n):
+    """The n!·2^n points whose coordinates are 1..n in some order, each with
+    either sign.  Every region of a subarrangement of the full B_n reflection
+    arrangement contains such a point, and no such point lies on any
+    hyperplane here (each has the form x_j = ±x_i or x_i = 0)."""
+    _cap("region-oracle", n)
+    return ([s * p for s, p in zip(signs, perm)]
+            for perm in permutations(range(1, n + 1)) for signs in product((1, -1), repeat=n))
 
-    Every region of a subarrangement of the full B_n reflection arrangement
-    contains such a point, and no such point lies on any hyperplane here (each
-    has the form x_j = ±x_i or x_i = 0), so this count is exact.  Oracle for
-    (-1)^n p(-1) in orientation.region_count."""
-    if g.n > n_cap:
-        raise SgError(f"region-oracle cap exceeded (n = {g.n} > {n_cap})")
+
+def count_regions_by_sign_vectors(g: SignedGraph) -> int:
+    """Exact region count: distinct sign vectors of all signed-permutation
+    points.  Oracle for (-1)^n p(-1) in orientation.region_count."""
+    points = _signed_permutation_points(g.n)
     from .orientation import arrangement
 
     hps = arrangement(g)
     if any(h.kind == "degenerate" for h in hps):
         return 0
     seen = set()
-    for perm in permutations(range(1, g.n + 1)):
-        for signs in product((1, -1), repeat=g.n):
-            x = [s * p for s, p in zip(signs, perm)]
-            vec = []
-            for h in hps:
-                if h.kind == "difference":
-                    val = x[h.j] - h.sign * x[h.i]
-                else:
-                    val = x[h.i]
-                vec.append(1 if val > 0 else -1)
-            seen.add(tuple(vec))
+    for x in points:
+        vec = []
+        for h in hps:
+            if h.kind == "difference":
+                val = x[h.j] - h.sign * x[h.i]
+            else:
+                val = x[h.i]
+            vec.append(1 if val > 0 else -1)
+        seen.add(tuple(vec))
     return len(seen)
 
 
-def balance_closure(g: SignedGraph, s, cap=20) -> frozenset:
+def region_witness_point(g: SignedGraph, b):
+    """A signed-permutation point interior to R(tau) of the bidirected graph
+    b, or None; nonempty exactly when b is acyclic (orientation.is_acyclic).
+
+    R(tau) is the set of x with tau(v_i,e) x_i + tau(v_j,e) x_j > 0 for every
+    edge (single-term sum for half edges and loops)."""
+    for x in _signed_permutation_points(g.n):
+        for e in g.edges:  # a loose edge's sum is empty, so no point fits
+            total = sum(
+                b.tau[(e.id, slot)] * x[v] for slot, v in enumerate(e.ends)
+            )
+            if total <= 0:
+                break
+        else:
+            return x
+    return None
+
+
+def balance_closure(g: SignedGraph, s) -> frozenset:
     """bcl(S): add every edge completing a positive circle inside S, plus
-    loose edges.  Oracle for frame.closure on balanced S."""
+    loose edges; |S| < the circle cap.  Oracle for frame.closure on balanced S."""
     s = frozenset(s)
     g.restricted(s)
     out = set(s) | {e.id for e in g.edges if e.kind is _LOOSE}
     for e in g.edges:
         if e.id in out or not e.is_ordinary:
             continue
-        for c in enumerate_circles(g, s | {e.id}, cap=cap + 1):
+        for c in enumerate_circles(g, s | {e.id}):
             if e.id in c and edge_set_sign(g, c) == 1:
                 out.add(e.id)
                 break
@@ -119,7 +137,7 @@ def balance_closure(g: SignedGraph, s, cap=20) -> frozenset:
 def closure_by_circuits(g: SignedGraph, s) -> frozenset:
     """The frame-circuit form of closure: S plus every e lying on a frame
     circuit inside S + e.  Equal to frame.closure()."""
-    from .frame import enumerate_frame_circuits
+    from .frame import _frame_circuits
 
     s = frozenset(s)
     out = set(s)
@@ -127,21 +145,20 @@ def closure_by_circuits(g: SignedGraph, s) -> frozenset:
         if e.id in out:
             continue
         sub = g.with_edges(g.restricted(s | {e.id}))
-        for fc in enumerate_frame_circuits(sub, n_cap=sub.n, edge_cap=len(s) + 1):
+        for fc in _frame_circuits(sub):
             if e.id in fc.edge_set:
                 out.add(e.id)
                 break
     return frozenset(out)
 
 
-def max_used_pairs_bruteforce(n, edge_list, k, cap=DEFAULT_COUNT_CAP) -> int:
+def max_used_pairs_bruteforce(n, edge_list, k) -> int:
     """Max over proper zero-free k-colorations of the all-negative graph of
-    the number of magnitudes used with both signs.  Oracle for
-    coloring.color_pair_capacity."""
+    the number of magnitudes used with both signs, at most the coloration
+    cap of them.  Oracle for coloring.color_pair_capacity."""
     g = make_signed(n, edge_list, -1)
     colors = [c for c in range(-k, k + 1) if c != 0]
-    if len(colors) ** n > cap:
-        raise SgError("brute-force cap exceeded")
+    _cap("coloration", len(colors) ** n)
     best = 0
     for gamma in product(colors, repeat=n):
         if not is_proper(g, gamma):

@@ -8,11 +8,10 @@ computed by deletion-contraction; the region count is (-1)^n p(-1).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import permutations, product
 
-from .core import SgError, SignedGraph, _LOOP, _LOOSE, _edge_vector
+from .core import SgError, SignedGraph, _LOOP, _LOOSE, _cap, _edge_vector
 from .coloring import chromatic_poly_delcon
-from .frame import enumerate_frame_circuits
+from .frame import _frame_circuits
 from .polynomial import IntPolynomial
 
 
@@ -61,12 +60,15 @@ def orient(g: SignedGraph) -> BidirectedGraph:
     return BidirectedGraph(g, tau)
 
 
-def _circuit_tables(g: SignedGraph, tau, circuits):
+def _circuit_tables(g: SignedGraph, tau, circuits=None):
     """Per frame circuit, a mask pair (M, N) over the non-loose edges for
     each of its vertices v: M marks the circuit's edges with an end at v, N
     those whose end at v has tau = -1.  Reversing the edges of mask x makes
     v a source or sink iff (x ^ N) & M is 0 or M.  A vertex where a positive
     loop's ends disagree never is and is left out; a loose edge has none."""
+    if circuits is None:
+        _cap("orientation", sum(len(e.ends) for e in g.edges))
+        circuits = _frame_circuits(g)
     bit = {e.id: 1 << i for i, e in enumerate(e for e in g.edges if e.kind is not _LOOSE)}
     tables = []
     for fc in circuits:
@@ -100,22 +102,16 @@ def _acyclic(tables, x) -> bool:
 
 def is_acyclic(b: BidirectedGraph, circuits=None) -> bool:
     """True iff every frame circuit's restriction has a source or a sink.
+    Without circuits, the orientation cap bounds the edge ends.
 
     A loose edge is a circuit with no vertices, hence never acyclic."""
-    g = b.graph
-    if circuits is None:
-        circuits = enumerate_frame_circuits(g, n_cap=g.n, edge_cap=len(g.edges))
-    return _acyclic(_circuit_tables(g, b.tau, circuits), 0)
+    return _acyclic(_circuit_tables(b.graph, b.tau, circuits), 0)
 
 
-def enumerate_acyclic(g: SignedGraph, end_cap=24) -> int:
+def enumerate_acyclic(g: SignedGraph) -> int:
     """Count acyclic orientations: the 2^k masks x over the k non-loose
     edges of `orient(g)`, each tested against circuit tables built once."""
-    n_ends = sum(len(e.ends) for e in g.edges)
-    if n_ends > end_cap:
-        raise SgError(f"orientation cap exceeded ({n_ends} ends > {end_cap})")
-    circuits = enumerate_frame_circuits(g, n_cap=g.n, edge_cap=len(g.edges))
-    tables = _circuit_tables(g, orient(g).tau, circuits)
+    tables = _circuit_tables(g, orient(g).tau)
     k = sum(1 for e in g.edges if e.kind is not _LOOSE)
     return sum(1 for x in range(1 << k) if _acyclic(tables, x))
 
@@ -172,7 +168,7 @@ class RegionReport:
     sign_vector_regions: int = None
 
 
-def region_count(g: SignedGraph, oracle=False, count_acyclic=False, n_cap=6) -> RegionReport:
+def region_count(g: SignedGraph, oracle=False, count_acyclic=False) -> RegionReport:
     """Region count by the finite-field-free formula (-1)^n p(-1).  p is zero,
     and so is the count, exactly when a degenerate hyperplane (loose edge /
     positive loop) is present.  oracle and count_acyclic add the sign-vector
@@ -183,31 +179,7 @@ def region_count(g: SignedGraph, oracle=False, count_acyclic=False, n_cap=6) -> 
     if oracle and not poly.is_zero():
         from .oracles import count_regions_by_sign_vectors
 
-        sv = count_regions_by_sign_vectors(g, n_cap=n_cap)
+        sv = count_regions_by_sign_vectors(g)
     if count_acyclic:
         ac = enumerate_acyclic(g)
     return RegionReport((-1) ** g.n * poly(-1), poly, ac, sv)
-
-
-def region_witness_point(g: SignedGraph, b: BidirectedGraph):
-    """A signed-permutation point interior to R(tau), or None.
-
-    R(tau) is the set of x with tau(v_i,e) x_i + tau(v_j,e) x_j > 0 for every
-    edge (single-term sum for half edges and loops)."""
-    for perm in permutations(range(1, g.n + 1)):
-        for signs in product((1, -1), repeat=g.n):
-            x = [s * p for s, p in zip(signs, perm)]
-            ok = True
-            for e in g.edges:
-                if e.kind is _LOOSE:
-                    ok = False
-                    break
-                total = sum(
-                    b.tau[(e.id, slot)] * x[v] for slot, v in enumerate(e.ends)
-                )
-                if total <= 0:
-                    ok = False
-                    break
-            if ok:
-                return x
-    return None

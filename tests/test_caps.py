@@ -1,0 +1,177 @@
+"""The cap table `core.CAPS`: for each cap, the smallest input over its limit
+stops with `<name> cap exceeded (<quantity> <used> > <limit>)`, raised as
+SgError by the library or printed after `error: ` by sgtool, which exits 1."""
+
+import subprocess
+import sys
+import time
+
+import pytest
+
+from signedgraph import (
+    SgError,
+    SignedGraph,
+    catalog,
+    chromatic_poly_subset,
+    closed_sets,
+    count_proper,
+    count_regions_by_sign_vectors,
+    enumerate_acyclic,
+    enumerate_circles,
+    enumerate_frame_circuits,
+    half,
+    has_two_disjoint_negative_circles,
+    is_acyclic,
+    link,
+    matrix_tree,
+    max_used_pairs_bruteforce,
+    min_balancing_set,
+    min_balancing_set_exhaustive,
+    orient,
+    region_witness_point,
+)
+from signedgraph.core import CAPS
+from conftest import cli_env
+
+
+def halves(m):
+    """m half edges at one vertex."""
+    return SignedGraph(1, [half(f"h{i}", 0) for i in range(m)])
+
+
+def raised(fn, *args):
+    def case(tmp_path):
+        with pytest.raises(SgError) as exc:
+            fn(*args)
+        return str(exc.value)
+
+    return case
+
+
+def sgtool(argv, timeout=10):
+    """Run sgtool with SGTOOL_MAX_EDGES unset; the completed process."""
+    env = cli_env()
+    env.pop("SGTOOL_MAX_EDGES", None)
+    cmd = [sys.executable, "-m", "signedgraph.cli", *argv]
+    return subprocess.run(cmd, capture_output=True, text=True, env=env, timeout=timeout)
+
+
+def exits_1(verb, text):
+    def case(tmp_path):
+        path = tmp_path / "in.sg"
+        path.write_text(text)
+        r = sgtool([verb, str(path)])
+        assert r.returncode == 1 and r.stdout == ""
+        assert r.stderr.startswith("error: ") and r.stderr.endswith("\n")
+        return r.stderr[len("error: "):-1]
+
+    return case
+
+
+def negative_cycle(n):
+    """An n-cycle whose one negative link is c0."""
+    return SignedGraph(n, [link(f"c{i}", i, (i + 1) % n, -1 if i == 0 else 1) for i in range(n)])
+
+
+K7_PAIRS = [(i, j) for i in range(7) for j in range(i + 1, 7)]
+# 24 links on 12 vertices: steps of 1, 2 and 3 along a path
+BASE24 = [(i, i + d) for d, k in ((1, 11), (2, 10), (3, 3)) for i in range(k)]
+
+CASES = {
+    "circle enumeration": [
+        ("circle enumeration cap exceeded (edges 21 > 20)", raised(enumerate_circles, halves(21))),
+        ("circle enumeration cap exceeded (edges 21 > 20)",
+         raised(has_two_disjoint_negative_circles, halves(21))),
+    ],
+    "frame-circuit enumeration": [
+        ("frame-circuit enumeration cap exceeded (vertices 11 > 10)",
+         raised(enumerate_frame_circuits, SignedGraph(11, []))),
+    ],
+    "frame-circuit edge": [
+        ("frame-circuit edge cap exceeded (edges 21 > 20)", raised(enumerate_frame_circuits, halves(21))),
+    ],
+    "closed-set": [
+        ("closed-set cap exceeded (edges 17 > 16)", raised(closed_sets, halves(17))),
+        ("closed-set cap exceeded (edges 17 > 16)",
+         raised(catalog, "all_negative", None, 7, K7_PAIRS[:17])),
+    ],
+    "balancing-set": [
+        ("balancing-set cap exceeded (component order 21 > 20)", raised(min_balancing_set, negative_cycle(21))),
+    ],
+    "exhaustive balancing-set": [
+        ("exhaustive balancing-set cap exceeded (edges 21 > 20)",
+         raised(min_balancing_set_exhaustive, halves(21))),
+    ],
+    "orientation": [
+        ("orientation cap exceeded (edge ends 25 > 24)", raised(enumerate_acyclic, halves(25))),
+        ("orientation cap exceeded (edge ends 25 > 24)", raised(is_acyclic, orient(halves(25)))),
+    ],
+    "coloration": [
+        ("coloration cap exceeded (colorations 4782969 > 2000000)",
+         raised(count_proper, SignedGraph(14, []), 1)),
+        ("coloration cap exceeded (colorations 2097152 > 2000000)",
+         raised(max_used_pairs_bruteforce, 21, [], 1)),
+    ],
+    "subset-expansion": [
+        ("subset-expansion cap exceeded (edges 21 > 20)", raised(chromatic_poly_subset, halves(21))),
+    ],
+    "region-oracle": [
+        ("region-oracle cap exceeded (vertices 7 > 6)",
+         raised(count_regions_by_sign_vectors, SignedGraph(7, []))),
+        ("region-oracle cap exceeded (vertices 7 > 6)",
+         raised(region_witness_point, SignedGraph(7, []), orient(SignedGraph(7, [])))),
+    ],
+    "matrix-tree": [
+        ("matrix-tree cap exceeded (vertices 9 > 8)", raised(matrix_tree, SignedGraph(9, []))),
+    ],
+    "input-edge": [
+        ("input-edge cap exceeded (edges 65 > 64)",
+         exits_1("info", "sg 1\nn 1\n" + "".join(f"half h{i} 1\n" for i in range(65)))),
+    ],
+    "input-vertex": [
+        ("input-vertex cap exceeded (vertices 1000001 > 1000000)", exits_1("balance", "sg 1\nn 1000001\n")),
+    ],
+}
+
+
+def test_every_cap_has_a_case():
+    assert set(CASES) == set(CAPS)
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_the_smallest_input_over_a_cap_names_it(name, tmp_path):
+    for expected, case in CASES[name]:
+        assert case(tmp_path) == expected
+
+
+def test_inputs_at_the_caps_pass(tmp_path):
+    assert len(enumerate_circles(halves(20))) == 0
+    assert enumerate_frame_circuits(SignedGraph(10, [])) == []
+    assert min_balancing_set(negative_cycle(20)) == {"c0"}
+    assert matrix_tree(SignedGraph(8, [])).consistent
+    path = tmp_path / "path.sg"
+    path.write_text("sg 1\nn 1\n" + "".join(f"half h{i} 1\n" for i in range(64)))
+    assert sgtool(["info", str(path)]).returncode == 0
+
+
+def within_a_second(fn, *args):
+    start = time.perf_counter()
+    with pytest.raises(SgError, match="cap exceeded"):
+        fn(*args)
+    assert time.perf_counter() - start < 1.0
+
+
+def test_routines_that_used_to_run_unbounded_stop_at_once():
+    k10 = SignedGraph(10, [link(f"e{i}_{j}", i, j, -1 if (i + j) % 3 else 1)
+                           for i in range(10) for j in range(i + 1, 10)])
+    within_a_second(is_acyclic, orient(k10))
+    digon = SignedGraph(8, [link(f"p{i}", i, i + 1, 1) for i in range(7)] + [link("m", 0, 1, -1)])
+    within_a_second(region_witness_point, digon, orient(digon))
+
+
+def test_catalog_all_negative_on_24_links_exits_at_the_closed_set_cap(tmp_path):
+    path = tmp_path / "base24.sg"
+    path.write_text("sg 1\nn 12\n" + "".join(f"edge e{i} {u + 1} {v + 1} +\n" for i, (u, v) in enumerate(BASE24)))
+    r = sgtool(["catalog", str(path), "--family", "allnegative"])
+    assert r.returncode == 1
+    assert r.stderr == "error: closed-set cap exceeded (edges 24 > 16)\n"

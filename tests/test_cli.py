@@ -123,6 +123,10 @@ def test_exit_codes(tmp_path, capsys):
     wide.write_text("sg 1\nn 11\n")
     assert run(["frame-circuits", str(wide)]) == 1
     assert "frame-circuit enumeration cap exceeded" in capsys.readouterr().err
+    huge = tmp_path / "huge.sg"  # checked before any kernel allocates per vertex
+    huge.write_text("sg 1\nn 99999999999\n")
+    assert run(["balance", str(huge)]) == 1
+    assert "error: input-vertex cap exceeded" in capsys.readouterr().err
 
 
 def test_chromatic_expansion_rejects_zero_free(capsys):

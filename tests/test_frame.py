@@ -215,7 +215,7 @@ def test_closed_sets_lattice(sigma4):
 def test_closed_sets_cap():
     g = SignedGraph(9, [link(f"e{i}", i % 9, (i + 1) % 9, 1) for i in range(17)])
     with pytest.raises(SgError):
-        closed_sets(g, cap=16)
+        closed_sets(g)
 
 
 def test_independence_matches_rank():

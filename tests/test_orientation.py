@@ -157,10 +157,10 @@ def test_witness_points(sigma4):
 def test_caps():
     big = SignedGraph(8, [link(f"e{i}", i, (i + 1) % 8, 1) for i in range(8)])
     with pytest.raises(SgError):
-        count_regions_by_sign_vectors(big, n_cap=6)
+        count_regions_by_sign_vectors(big)
     many = SignedGraph(
         4, [link(f"e{i}", i % 4, (i + 1) % 4, 1 if i % 2 else -1) for i in range(22)]
     )
     with pytest.raises(SgError):
-        chromatic_poly_subset(many, edge_cap=20)
+        chromatic_poly_subset(many)
     assert characteristic_polynomial(many) == chromatic_poly_delcon(many)
