@@ -5,6 +5,10 @@ Every verb reads the `sg 1` text format, prints a deterministic text report
 2 on usage errors.  --threads is accepted for interface stability; all
 analyses are deterministic and single-threaded.
 
+`run` loads the input (`_load`; None for `roots`, and for `catalog` without a
+file), calls the verb's handler `cmd_*(g, args)`, which only computes and
+returns (JSON payload, text lines), and prints the result with one `_emit`.
+
 Only `core` is imported with this module.  Each verb handler imports what it
 uses from the other submodules when it runs, so a launch loads just the
 modules of its verb, and numpy only for spectrum and gramian.
@@ -14,7 +18,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from . import core
@@ -42,17 +45,9 @@ def _load(args) -> SignedGraph:
             g = parse(fh.read())
     except OSError as exc:
         raise SgError(f"cannot read {args.input}: {exc.strerror}") from None
-    cap = args.max_edges
-    if cap is None:
-        env = os.environ.get("SGTOOL_MAX_EDGES")
-        try:
-            cap = int(env) if env else None
-        except ValueError:
-            raise SgError(f"SGTOOL_MAX_EDGES must be an integer, got {env!r}") from None
-    else:
-        print(f"warning: edge cap overridden to {cap}", file=sys.stderr)
-    core._cap("input-vertex", g.n)
-    core._cap("input-edge", len(g.edges), cap)
+    if args.max_edges is not None:
+        print(f"warning: edge cap overridden to {args.max_edges}", file=sys.stderr)
+    core._cap("input-edge", len(g.edges), args.max_edges)
     return g
 
 
@@ -67,6 +62,16 @@ def _edge_list_arg(raw):
     return [s for s in raw.split(",") if s]
 
 
+def _graph_text(h):
+    """h in `sg 1` text, and that text as one report line."""
+    out = serialize(h).decode()
+    return out, out.rstrip("\n")
+
+
+def _link_ends(g):
+    return [e.ends for e in g.edges if e.kind is core.EdgeKind.LINK]
+
+
 def _emit(args, payload, text_lines):
     if args.json:
         payload = {"schema": SCHEMA, "verb": args.verb, **payload}
@@ -77,11 +82,10 @@ def _emit(args, payload, text_lines):
 
 
 # ---------------------------------------------------------------------------
-# verb handlers
+# verb handlers: each takes (g, args) and returns (JSON payload, text lines)
 
 
-def cmd_info(args):
-    g = _load(args)
+def cmd_info(g, args):
     s = _graph_summary(g)
     lines = [
         f"n: {g.n}",
@@ -89,13 +93,12 @@ def cmd_info(args):
         "kinds: " + ", ".join(f"{k}={v}" for k, v in sorted(s["kinds"].items())),
         "edges: " + ",".join(e.id for e in g.edges),
     ]
-    _emit(args, {"graph": s, "edges": [e.id for e in g.edges]}, lines)
+    return {"graph": s, "edges": [e.id for e in g.edges]}, lines
 
 
-def cmd_balance(args):
+def cmd_balance(g, args):
     from .balance import balance_partition, harary_bipartition
 
-    g = _load(args)
     part = balance_partition(g)
     balanced = not part.v0
     line = f"balanced: {str(balanced).lower()}, b={part.b}, V0={_vset(part.v0)}"
@@ -110,13 +113,12 @@ def cmd_balance(args):
         v1, v2 = harary_bipartition(g)
         lines.append(f"harary: {_vset(v1)} | {_vset(v2)}")
         payload["harary"] = [sorted(v + 1 for v in v1), sorted(v + 1 for v in v2)]
-    _emit(args, payload, lines)
+    return payload, lines
 
 
-def cmd_switch(args):
+def cmd_switch(g, args):
     from .balance import switch_set
 
-    g = _load(args)
     verts = []
     for tok in _edge_list_arg(args.vertices):
         try:
@@ -126,82 +128,68 @@ def cmd_switch(args):
         if not 0 <= v < g.n:
             raise SgError(f"vertex {tok} out of range")
         verts.append(v)
-    out = serialize(switch_set(g, verts)).decode()
-    _emit(args, {"graph_text": out}, [out.rstrip("\n")])
+    out, line = _graph_text(switch_set(g, verts))
+    return {"graph_text": out}, [line]
 
 
-def cmd_balancing_edges(args):
+def cmd_balancing_edges(g, args):
     from .balance import classify_balancing_edges
 
-    g = _load(args)
     cls = classify_balancing_edges(g)
-    lines = [f"{eid}: {cls[eid]}" for eid in sorted(cls)]
-    _emit(args, {"classification": cls}, lines)
+    return {"classification": cls}, [f"{eid}: {cls[eid]}" for eid in sorted(cls)]
 
 
-def cmd_delete(args):
+def cmd_delete(g, args):
     from .minors import delete_edges
 
-    g = _load(args)
-    out = serialize(delete_edges(g, _edge_list_arg(args.edges))).decode()
-    _emit(args, {"graph_text": out}, [out.rstrip("\n")])
+    out, line = _graph_text(delete_edges(g, _edge_list_arg(args.edges)))
+    return {"graph_text": out}, [line]
 
 
-def cmd_contract(args):
+def cmd_contract(g, args):
     from .minors import contract_set
 
-    g = _load(args)
     result, trace = contract_set(g, _edge_list_arg(args.edges))
-    out = serialize(result).decode()
+    out, line = _graph_text(result)
     vmap = {
         str(v + 1): (None if w is None else w + 1) for v, w in trace.vertex_map.items()
     }
-    lines = [out.rstrip("\n")]
+    lines = [line]
     lines.append(
         "vertex-map: "
         + ", ".join(
             f"{k}->{'gone' if v is None else v}" for k, v in sorted(vmap.items(), key=lambda kv: int(kv[0]))
         )
     )
-    _emit(args, {"graph_text": out, "vertex_map": vmap}, lines)
+    return {"graph_text": out, "vertex_map": vmap}, lines
 
 
-def cmd_frame_circuits(args):
+def cmd_frame_circuits(g, args):
     from .frame import enumerate_frame_circuits
 
-    g = _load(args)
     fcs = enumerate_frame_circuits(g)
     lines = [f"{fc.kind}: {_eset(fc.edge_set)}" for fc in fcs]
     lines.append(f"count: {len(fcs)}")
-    _emit(
-        args,
-        {"circuits": [{"kind": fc.kind, "edges": sorted(fc.edge_set)} for fc in fcs]},
-        lines,
-    )
+    return {"circuits": [{"kind": fc.kind, "edges": sorted(fc.edge_set)} for fc in fcs]}, lines
 
 
-def cmd_closure(args):
+def cmd_closure(g, args):
     from .frame import closure
 
-    g = _load(args)
-    s = _edge_list_arg(args.edges) if args.edges else []
-    out = closure(g, s)
-    _emit(args, {"closure": sorted(out)}, [f"closure: {_eset(out)}"])
+    out = closure(g, _edge_list_arg(args.edges))
+    return {"closure": sorted(out)}, [f"closure: {_eset(out)}"]
 
 
-def cmd_rank(args):
+def cmd_rank(g, args):
     from .frame import rank
 
-    g = _load(args)
-    s = _edge_list_arg(args.edges) if args.edges is not None else None
-    r = rank(g, s)
-    _emit(args, {"rank": r}, [f"rank: {r}"])
+    r = rank(g, _edge_list_arg(args.edges) if args.edges is not None else None)
+    return {"rank": r}, [f"rank: {r}"]
 
 
-def cmd_matrix(args):
+def cmd_matrix(g, args):
     from .matrices import adjacency_matrix, degree_matrix, incidence_matrix, laplacian
 
-    g = _load(args)
     which = {
         "incidence": incidence_matrix,
         "adjacency": adjacency_matrix,
@@ -210,13 +198,12 @@ def cmd_matrix(args):
     }[args.which]
     m = which(g)
     lines = [" ".join(f"{x:3d}" for x in row) for row in m]
-    _emit(args, {"which": args.which, "matrix": m}, lines)
+    return {"which": args.which, "matrix": m}, lines
 
 
-def cmd_matrix_tree(args):
+def cmd_matrix_tree(g, args):
     from .matrices import matrix_tree
 
-    g = _load(args)
     rep = matrix_tree(g)
     lines = [
         f"det-laplacian: {rep.det_laplacian}",
@@ -224,34 +211,29 @@ def cmd_matrix_tree(args):
         f"weighted-sum: {rep.weighted_sum}",
         f"consistent: {str(rep.consistent).lower()}",
     ]
-    _emit(
-        args,
-        {
-            "det_laplacian": rep.det_laplacian,
-            "circle_counts": list(rep.circle_counts),
-            "weighted_sum": rep.weighted_sum,
-            "consistent": rep.consistent,
-        },
-        lines,
-    )
+    payload = {
+        "det_laplacian": rep.det_laplacian,
+        "circle_counts": list(rep.circle_counts),
+        "weighted_sum": rep.weighted_sum,
+        "consistent": rep.consistent,
+    }
+    return payload, lines
 
 
-def cmd_spectrum(args):
+def cmd_spectrum(g, args):
     from .matrices import adjacency_matrix, laplacian, spectrum
 
-    g = _load(args)
     m = adjacency_matrix(g) if args.which == "adjacency" else laplacian(g)
     eig = [_fmt_float(x) for x in spectrum(m)]
-    _emit(args, {"which": args.which, "eigenvalues": eig}, [
+    return {"which": args.which, "eigenvalues": eig}, [
         "eigenvalues: " + ", ".join(f"{x:.12g}" for x in eig)
-    ])
+    ]
 
 
-def cmd_regions(args):
+def cmd_regions(g, args):
     from .orientation import region_count
     from .polynomial import format_polynomial
 
-    g = _load(args)
     rep = region_count(g, oracle=args.oracle, count_acyclic=args.acyclic)
     lines = [
         f"regions: {rep.region_count}",
@@ -268,42 +250,34 @@ def cmd_regions(args):
     if rep.acyclic_count is not None:
         lines.append(f"acyclic: {rep.acyclic_count}")
         payload["acyclic"] = rep.acyclic_count
-    _emit(args, payload, lines)
+    return payload, lines
 
 
-def cmd_acyclic(args):
+def cmd_acyclic(g, args):
     from .orientation import enumerate_acyclic
 
-    g = _load(args)
     c = enumerate_acyclic(g)
-    _emit(args, {"acyclic": c}, [f"acyclic: {c}"])
+    return {"acyclic": c}, [f"acyclic: {c}"]
 
 
-def cmd_charpoly(args):
+def cmd_charpoly(g, args):
     from .orientation import characteristic_polynomial
     from .polynomial import format_polynomial
 
-    g = _load(args)
     p = characteristic_polynomial(g)
-    _emit(
-        args,
-        {"charpoly": format_polynomial(p), "coefficients": list(p.coeffs)},
-        [format_polynomial(p)],
-    )
+    return {"charpoly": format_polynomial(p), "coefficients": list(p.coeffs)}, [format_polynomial(p)]
 
 
-def cmd_chromatic(args):
+def cmd_chromatic(g, args):
     from .coloring import chromatic_numbers, chromatic_poly_delcon, count_proper
     from .polynomial import format_polynomial
 
-    g = _load(args)
     zf = args.zero_free
     if args.algorithm == "count":
         if args.k is None:
             raise SgError("--algorithm count needs --k")
         c = count_proper(g, args.k, zero_free=zf)
-        _emit(args, {"count": c, "k": args.k}, [f"count: {c}"])
-        return
+        return {"count": c, "k": args.k}, [f"count: {c}"]
     if args.algorithm == "expansion":
         if zf:
             raise SgError(
@@ -322,55 +296,36 @@ def cmd_chromatic(args):
     chi, chi_star = chromatic_numbers(g)
     lines = [format_polynomial(p)]
     lines.append(f"chromatic-number: {chi}, zero-free: {chi_star}")
-    _emit(
-        args,
-        {
-            "polynomial": format_polynomial(p),
-            "coefficients": list(p.coeffs),
-            "zero_free": zf,
-            "chromatic_number": chi,
-            "zero_free_chromatic_number": chi_star,
-        },
-        lines,
-    )
+    payload = {
+        "polynomial": format_polynomial(p),
+        "coefficients": list(p.coeffs),
+        "zero_free": zf,
+        "chromatic_number": chi,
+        "zero_free_chromatic_number": chi_star,
+    }
+    return payload, lines
 
 
-FAMILIES = {
-    "full": "full",
-    "fullloops": "full_loops",
-    "allpositive": "all_positive",
-    "allpositivefull": "all_positive_full",
-    "allnegative": "all_negative",
-    "signedexpansion": "signed_expansion",
-    "signedexpansionfull": "signed_expansion_full",
-    "pmkn": "pm_kn",
-    "pmknfull": "pm_kn_full",
-}
-
-
-def cmd_catalog(args):
-    from .coloring import catalog
+def cmd_catalog(g, args):
+    from .coloring import FAMILIES, catalog
     from .polynomial import format_polynomial
 
-    family = FAMILIES.get(args.family)
+    names = {f.replace("_", ""): f for f in FAMILIES}  # the CLI name drops the underscores
+    family = names.get(args.family)
     if family is None:
-        raise SgError(f"unknown family {args.family!r} (choose from {sorted(FAMILIES)})")
-    base = None
+        raise SgError(f"unknown family {args.family!r} (choose from {sorted(names)})")
     n = args.n
     edge_list = None
-    if family in ("full", "full_loops"):
-        if args.input is None:
-            raise SgError("this family needs an input graph")
-        base = _load(args)
-    elif family not in ("pm_kn", "pm_kn_full"):
-        if args.input is None:
-            raise SgError("this family needs an input base graph")
-        base_g = _load(args)
-        n = base_g.n
-        edge_list = [tuple(e.ends) for e in base_g.edges if e.kind is core.EdgeKind.LINK]
-    g, chi, chi_star = catalog(family, base=base, n=n, edge_list=edge_list)
-    out = serialize(g).decode()
-    lines = [out.rstrip("\n")]
+    if family in ("pm_kn", "pm_kn_full"):
+        if n is not None and n > 0:  # built from --n, not read: bound the edges it would have
+            core._cap("input-edge", n * (n - 1) + (n if family == "pm_kn_full" else 0), args.max_edges)
+    elif g is None:
+        raise SgError("this family needs an input " + ("graph" if family.startswith("full") else "base graph"))
+    elif not family.startswith("full"):
+        n, edge_list = g.n, _link_ends(g)
+    h, chi, chi_star = catalog(family, base=g, n=n, edge_list=edge_list)
+    out, line = _graph_text(h)
+    lines = [line]
     payload = {"graph_text": out}
     if chi is not None:
         lines.append(f"chi: {format_polynomial(chi)}")
@@ -378,46 +333,34 @@ def cmd_catalog(args):
     if chi_star is not None:
         lines.append(f"chi*: {format_polynomial(chi_star)}")
         payload["chi_star"] = format_polynomial(chi_star)
-    _emit(args, payload, lines)
+    return payload, lines
 
 
-def cmd_linegraph(args):
+def cmd_linegraph(g, args):
     from .linegraph import line_graph, reduced_line_graph
 
-    g = _load(args)
     res = reduced_line_graph(g) if args.reduced else line_graph(g)
-    out = serialize(res.graph).decode()
-    lines = [out.rstrip("\n")]
-    lines.append("vertices: " + ",".join(res.vertex_labels))
-    _emit(
-        args,
-        {"graph_text": out, "vertex_labels": list(res.vertex_labels)},
-        lines,
-    )
+    out, line = _graph_text(res.graph)
+    lines = [line, "vertices: " + ",".join(res.vertex_labels)]
+    return {"graph_text": out, "vertex_labels": list(res.vertex_labels)}, lines
 
 
-def cmd_glinegraph(args):
+def cmd_glinegraph(g, args):
     from .linegraph import generalized_line_graph, reduced_line_graph, switching_isomorphic
 
-    g = _load(args)
-    edge_list = [tuple(e.ends) for e in g.edges if e.kind is core.EdgeKind.LINK]
     try:
         mult = [int(x) for x in args.m.split(",")]
     except ValueError:
         raise SgError(f"bad multiplicity list {args.m!r}") from None
-    src, lam = generalized_line_graph(g.n, edge_list, mult)
+    src, lam = generalized_line_graph(g.n, _link_ends(g), mult)
     red = reduced_line_graph(src).graph
     iso = switching_isomorphic(red, lam) is not None
-    out1, out2 = serialize(src).decode(), serialize(lam).decode()
-    lines = [out1.rstrip("\n"), "---", out2.rstrip("\n"), f"identity: {str(iso).lower()}"]
-    _emit(
-        args,
-        {"petal_graph_text": out1, "generalized_line_graph_text": out2, "identity": iso},
-        lines,
-    )
+    (out1, line1), (out2, line2) = _graph_text(src), _graph_text(lam)
+    lines = [line1, "---", line2, f"identity: {str(iso).lower()}"]
+    return {"petal_graph_text": out1, "generalized_line_graph_text": out2, "identity": iso}, lines
 
 
-def cmd_roots(args):
+def cmd_roots(g, args):
     from .angle import root_system
 
     rs = root_system(args.name, args.n)
@@ -425,24 +368,20 @@ def cmd_roots(args):
     lines = [f"{rs.name}({rs.n}): {len(rs)} vectors"]
     for v in vecs:
         lines.append("(" + ", ".join(str(x) for x in v) + ")")
-    _emit(
-        args,
-        {
-            "name": rs.name,
-            "n": rs.n,
-            "count": len(rs),
-            "vectors": [[str(x) for x in v] for v in vecs],
-        },
-        lines,
-    )
+    payload = {
+        "name": rs.name,
+        "n": rs.n,
+        "count": len(rs),
+        "vectors": [[str(x) for x in v] for v in vecs],
+    }
+    return payload, lines
 
 
-def cmd_gramian(args):
+def cmd_gramian(g, args):
     from fractions import Fraction
 
     from .angle import construct_gramian
 
-    g = _load(args)
     try:
         nu = Fraction(args.nu)
         float(nu)  # construct_gramian shifts A by float(nu)
@@ -450,17 +389,12 @@ def cmd_gramian(args):
         raise SgError(f"--nu must be a rational number within float range, got {args.nu!r}") from None
     rep = construct_gramian(g, nu, anti=args.anti)
     if rep is None:
-        _emit(args, {"exists": False}, ["exists: false"])
-        return
+        return {"exists": False}, ["exists: false"]
     lines = [f"exists: true", f"dimension: {rep.dimension}"]
     vecs = [[_fmt_float(x) for x in v] for v in rep.rho]
     for v in vecs:
         lines.append("(" + ", ".join(f"{x:.12g}" for x in v) + ")")
-    _emit(
-        args,
-        {"exists": True, "dimension": rep.dimension, "vectors": vecs, "nu": str(nu)},
-        lines,
-    )
+    return {"exists": True, "dimension": rep.dimension, "vectors": vecs, "nu": str(nu)}, lines
 
 
 # ---------------------------------------------------------------------------
@@ -533,10 +467,12 @@ def run(argv=None) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0,) else 0
     try:
-        args.fn(args)
+        g = _load(args) if getattr(args, "input", None) is not None else None
+        payload, lines = args.fn(g, args)
     except SgError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    _emit(args, payload, lines)
     return 0
 
 

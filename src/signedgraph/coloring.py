@@ -240,16 +240,22 @@ def _odd_product(n):
     return IntPolynomial.from_roots([2 * i - 1 for i in range(1, n + 1)])
 
 
+FAMILIES = (
+    "full", "full_loops", "all_positive", "all_positive_full", "all_negative",
+    "signed_expansion", "signed_expansion_full", "pm_kn", "pm_kn_full",
+)
+
+
 def catalog(family, base=None, n=None, edge_list=None):
     """Build a catalog family and its predicted closed-form polynomials.
 
-    family: one of 'full', 'full_loops', 'all_positive', 'all_positive_full',
-    'all_negative', 'signed_expansion', 'signed_expansion_full',
-    'pm_kn', 'pm_kn_full'.  For families derived from an unsigned base graph,
-    pass n and edge_list; for 'full'/'full_loops', pass a SignedGraph base.
-    Returns (graph, predicted_chi, predicted_chi_star), predictions possibly
-    None where no closed form is given.
+    family: one of FAMILIES.  For families derived from an unsigned base
+    graph, pass n and edge_list; for 'full'/'full_loops', pass a SignedGraph
+    base.  Returns (graph, predicted_chi, predicted_chi_star), predictions
+    possibly None where no closed form is given.
     """
+    if family not in FAMILIES:
+        raise SgError(f"unknown catalog family {family!r}")
     if family in ("full", "full_loops"):
         if base is None:
             raise SgError("'full' families need a SignedGraph base")
@@ -300,16 +306,14 @@ def catalog(family, base=None, n=None, edge_list=None):
         star = chi_gamma.compose_affine(Fraction(1, 2), 0).scale(2**n).as_int()
         return g, None, star
 
-    if family == "signed_expansion_full":
-        g = make_full(make_signed_expansion(n, edge_list))
-        chi = (
-            chi_gamma.compose_affine(Fraction(1, 2), Fraction(-1, 2))
-            .scale(2**n)
-            .as_int()
-        )
-        return g, chi, None
-
-    raise SgError(f"unknown catalog family {family!r}")
+    # signed_expansion_full
+    g = make_full(make_signed_expansion(n, edge_list))
+    chi = (
+        chi_gamma.compose_affine(Fraction(1, 2), Fraction(-1, 2))
+        .scale(2**n)
+        .as_int()
+    )
+    return g, chi, None
 
 
 def max_matching_size(n, edge_list) -> int:

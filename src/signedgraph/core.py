@@ -28,13 +28,13 @@ CAPS = {
     "closed-set": (16, "edges"),  # closed_sets, the all-negative catalog's flats
     "balancing-set": (20, "component order"),  # min_balancing_set, per unbalanced component
     "exhaustive balancing-set": (20, "edges"),  # oracles.min_balancing_set_exhaustive
-    "orientation": (24, "edge ends"),  # enumerate_acyclic, is_acyclic without circuits
+    "orientation": (24, "edge ends"),  # enumerate_acyclic, is_acyclic
     "coloration": (2_000_000, "colorations"),  # count_proper, oracles.max_used_pairs_bruteforce
     "subset-expansion": (20, "edges"),  # oracles.chromatic_poly_subset
     "region-oracle": (6, "vertices"),  # oracles' signed-permutation points
     "matrix-tree": (8, "vertices"),  # matrix_tree
-    "input-edge": (64, "edges"),  # sgtool, unless --max-edges or SGTOOL_MAX_EDGES sets it
-    "input-vertex": (10**6, "vertices"),  # sgtool
+    "input-edge": (64, "edges"),  # sgtool's input and catalog --n, unless --max-edges sets it
+    "input-vertex": (10**6, "vertices"),  # parse and SignedGraph
 }
 _id_ok = re.compile(r"[^\s#,]+").fullmatch
 _BAD_ID = "bad edge id {!r}: need a nonempty string without whitespace, '#', ','"
@@ -133,6 +133,7 @@ class SignedGraph:
         n = self.n
         if type(n) is not int or n < 0:
             raise SgError(f"order n must be an int >= 0, got {n!r}")
+        _cap("input-vertex", n)
         seen = {}
         try:  # an item that is not an Edge fails on .id or .ends
             edges = tuple(self.edges)
@@ -252,7 +253,11 @@ def parse(text) -> SignedGraph:
                 err(lineno, "duplicate 'n' directive")
             if len(fields) != 2 or not fields[1].isdecimal():
                 err(lineno, "expected 'n <order>'")
-            n = int(fields[1])
+            try:
+                n = int(fields[1])
+            except ValueError:  # more digits than int() converts
+                err(lineno, "expected 'n <order>'")
+            _cap("input-vertex", n)
             continue
         if n is None:
             err(lineno, "'n' directive must precede edges")

@@ -60,18 +60,16 @@ def orient(g: SignedGraph) -> BidirectedGraph:
     return BidirectedGraph(g, tau)
 
 
-def _circuit_tables(g: SignedGraph, tau, circuits=None):
+def _circuit_tables(g: SignedGraph, tau):
     """Per frame circuit, a mask pair (M, N) over the non-loose edges for
     each of its vertices v: M marks the circuit's edges with an end at v, N
     those whose end at v has tau = -1.  Reversing the edges of mask x makes
     v a source or sink iff (x ^ N) & M is 0 or M.  A vertex where a positive
     loop's ends disagree never is and is left out; a loose edge has none."""
-    if circuits is None:
-        _cap("orientation", sum(len(e.ends) for e in g.edges))
-        circuits = _frame_circuits(g)
+    _cap("orientation", sum(len(e.ends) for e in g.edges))
     bit = {e.id: 1 << i for i, e in enumerate(e for e in g.edges if e.kind is not _LOOSE)}
     tables = []
-    for fc in circuits:
+    for fc in _frame_circuits(g):
         masks = {}  # v -> [M, N]
         never = set()
         for eid in fc.edge_set:
@@ -100,12 +98,12 @@ def _acyclic(tables, x) -> bool:
     return True
 
 
-def is_acyclic(b: BidirectedGraph, circuits=None) -> bool:
+def is_acyclic(b: BidirectedGraph) -> bool:
     """True iff every frame circuit's restriction has a source or a sink.
-    Without circuits, the orientation cap bounds the edge ends.
+    The orientation cap bounds the edge ends.
 
     A loose edge is a circuit with no vertices, hence never acyclic."""
-    return _acyclic(_circuit_tables(b.graph, b.tau, circuits), 0)
+    return _acyclic(_circuit_tables(b.graph, b.tau), 0)
 
 
 def enumerate_acyclic(g: SignedGraph) -> int:

@@ -28,6 +28,7 @@ from signedgraph import (
     min_balancing_set,
     min_balancing_set_exhaustive,
     orient,
+    parse,
     region_witness_point,
 )
 from signedgraph.core import CAPS
@@ -49,11 +50,9 @@ def raised(fn, *args):
 
 
 def sgtool(argv, timeout=10):
-    """Run sgtool with SGTOOL_MAX_EDGES unset; the completed process."""
-    env = cli_env()
-    env.pop("SGTOOL_MAX_EDGES", None)
+    """Run sgtool; the completed process."""
     cmd = [sys.executable, "-m", "signedgraph.cli", *argv]
-    return subprocess.run(cmd, capture_output=True, text=True, env=env, timeout=timeout)
+    return subprocess.run(cmd, capture_output=True, text=True, env=cli_env(), timeout=timeout)
 
 
 def exits_1(verb, text):
@@ -64,6 +63,16 @@ def exits_1(verb, text):
         assert r.returncode == 1 and r.stdout == ""
         assert r.stderr.startswith("error: ") and r.stderr.endswith("\n")
         return r.stderr[len("error: "):-1]
+
+    return case
+
+
+def catalog_n(family, n, *flags):
+    """sgtool catalog of a family built from --n alone: its error message."""
+    def case(tmp_path):
+        r = sgtool(["catalog", "--family", family, "--n", str(n), *flags])
+        assert r.returncode == 1 and r.stdout == ""
+        return r.stderr.splitlines()[-1][len("error: "):]
 
     return case
 
@@ -127,9 +136,13 @@ CASES = {
     "input-edge": [
         ("input-edge cap exceeded (edges 65 > 64)",
          exits_1("info", "sg 1\nn 1\n" + "".join(f"half h{i} 1\n" for i in range(65)))),
+        ("input-edge cap exceeded (edges 72 > 64)", catalog_n("pmkn", 9)),
+        ("input-edge cap exceeded (edges 64 > 63)", catalog_n("pmknfull", 8, "--max-edges", "63")),
     ],
     "input-vertex": [
         ("input-vertex cap exceeded (vertices 1000001 > 1000000)", exits_1("balance", "sg 1\nn 1000001\n")),
+        ("input-vertex cap exceeded (vertices 1000001 > 1000000)", raised(SignedGraph, 10**6 + 1, [])),
+        ("input-vertex cap exceeded (vertices 99999999999 > 1000000)", raised(parse, b"sg 1\nn 99999999999\n")),
     ],
 }
 
@@ -152,6 +165,8 @@ def test_inputs_at_the_caps_pass(tmp_path):
     path = tmp_path / "path.sg"
     path.write_text("sg 1\nn 1\n" + "".join(f"half h{i} 1\n" for i in range(64)))
     assert sgtool(["info", str(path)]).returncode == 0
+    for family, n in (("pmkn", 8), ("pmknfull", 8)):  # 56 and 64 edges
+        assert sgtool(["catalog", "--family", family, "--n", str(n)]).returncode == 0
 
 
 def within_a_second(fn, *args):
@@ -167,6 +182,16 @@ def test_routines_that_used_to_run_unbounded_stop_at_once():
     within_a_second(is_acyclic, orient(k10))
     digon = SignedGraph(8, [link(f"p{i}", i, i + 1, 1) for i in range(7)] + [link("m", 0, 1, -1)])
     within_a_second(region_witness_point, digon, orient(digon))
+    within_a_second(SignedGraph, 10**11, [])
+    within_a_second(parse, b"sg 1\nn 99999999999\n")
+
+
+def test_catalog_of_a_huge_complete_expansion_exits_at_the_input_edge_cap():
+    start = time.perf_counter()
+    r = sgtool(["catalog", "--family", "pmkn", "--n", "20000"])
+    assert time.perf_counter() - start < 1.0
+    assert r.returncode == 1 and r.stdout == ""
+    assert r.stderr == "error: input-edge cap exceeded (edges 399980000 > 64)\n"
 
 
 def test_catalog_all_negative_on_24_links_exits_at_the_closed_set_cap(tmp_path):

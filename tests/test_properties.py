@@ -1,5 +1,6 @@
 """Property tests: the independent routes to one quantity agree on generated
-graphs of all four edge kinds, the text format round-trips, graphs built
+graphs of all four edge kinds, the text format round-trips, a mutated
+fixture file parses to SgError or to a graph that round-trips, graphs built
 without checks (parse, switchings, minors) are the graphs the public
 constructors build, switching changes no switching invariant, every
 reading of the edge vector and of the signed circles agrees with its
@@ -8,6 +9,7 @@ definition, and closure obeys the closure axioms.
 Runs are derandomized, so every run tries the same examples."""
 
 from itertools import combinations, product
+from pathlib import Path
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -38,7 +40,6 @@ from signedgraph import (
     edge_vector,
     enumerate_acyclic,
     enumerate_circles,
-    enumerate_frame_circuits,
     half,
     incidence_matrix,
     is_acyclic,
@@ -62,6 +63,7 @@ from signedgraph import (
 )
 from signedgraph.coloring import _constraints
 from signedgraph.core import _signed_circles, delete_vertices
+from conftest import FIXTURES
 
 PROPERTY = settings(
     derandomize=True,
@@ -166,11 +168,11 @@ def orientations(g):
 def test_an_orientation_is_acyclic_exactly_when_its_region_is_nonempty(g):
     """Every region of a subarrangement of B_n holds a signed-permutation
     point, so region_witness_point decides whether R(tau) is empty."""
-    circuits = enumerate_frame_circuits(g, n_cap=g.n, edge_cap=len(g.edges))
     acyclic = 0
     for b in orientations(g):
-        assert is_acyclic(b, circuits) == (region_witness_point(g, b) is not None)
-        acyclic += is_acyclic(b)
+        ok = is_acyclic(b)
+        assert ok == (region_witness_point(g, b) is not None)
+        acyclic += ok
     assert acyclic == enumerate_acyclic(g)
 
 
@@ -243,6 +245,40 @@ def test_parse_rejects_an_id_with_a_comma_as_edge_does(data, eid, directive):
     with pytest.raises(SgError) as built:
         half(eid, 0)
     assert str(parsed.value) == str(built.value) == message
+
+
+FIXTURE_TEXTS = [p.read_bytes() for p in sorted(Path(FIXTURES).glob("*.sg"))]
+# bytes the format gives meaning to, mixed with other ASCII; the few bytes
+# over 0x7f mostly make the text invalid UTF-8
+mutant_bytes = st.one_of(st.sampled_from(b"0123456789 \t\r\n#+-,nedgehalfloos\x1c\xc3\xa9"), st.integers(0, 127))
+
+
+@st.composite
+def mutated_fixtures(draw):
+    """A fixture file with a few bytes replaced, inserted or deleted."""
+    text = bytearray(draw(st.sampled_from(FIXTURE_TEXTS)))
+    for _ in range(draw(st.integers(1, 4))):
+        at = draw(st.sampled_from(range(len(text) + 1)))
+        op = draw(st.sampled_from(("replace", "insert", "delete")))
+        byte = draw(mutant_bytes)
+        if op == "insert" or at == len(text):
+            text.insert(at, byte)
+        elif op == "replace":
+            text[at] = byte
+        else:
+            del text[at]
+    return bytes(text)
+
+
+@settings(PROPERTY, max_examples=500)
+@given(mutated_fixtures())
+def test_parse_of_a_mutated_fixture_raises_sg_error_or_round_trips(text):
+    try:
+        g = parse(text)
+    except SgError:
+        return
+    assert parse(serialize(g)) == g
+    assert_as_if_public(g)
 
 
 @PROPERTY
