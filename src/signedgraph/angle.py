@@ -1,8 +1,9 @@
 """Classical root systems (exact rational vectors) and angle representations
 of signed graphs via Gram matrices.
 
-Membership and verification are exact; only the eigendecomposition-based
-construction uses floating point, behind an explicit tolerance (1e-8).
+Membership, verification and whether a Gram representation exists (and its
+dimension) are exact; only the constructed vectors' square roots are floats,
+which `verify_representation` compares within TOL.
 """
 
 from __future__ import annotations
@@ -12,10 +13,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
 
-from .core import SgError, SignedGraph, _LINK
+from .core import SgError, SignedGraph, _LINK, _cap
 from .matrices import adjacency_matrix
 
-TOL = 1e-8
+TOL = 1e-8  # verify_representation's tolerance for float vectors
 
 MODES = ("gramian", "antigramian", "angleonly")
 
@@ -51,6 +52,7 @@ def root_system(name, n=None) -> RootSystem:
         n = 8
     if n is None or n < 1:
         raise SgError("root system needs n >= 1")
+    _cap("root-system", n)
     vs = set()
     if name == "A":
         for i in range(n):
@@ -167,31 +169,37 @@ def verify_representation(g: SignedGraph, rep: AngleRepresentation) -> bool:
 
 
 def construct_gramian(g: SignedGraph, nu, anti=False):
-    """Factor A + nu*I (or -A + nu*I) as a Gram matrix by eigendecomposition.
+    """Factor M = A + nu*I (or -A + nu*I) as a Gram matrix by exact symmetric
+    elimination (LDL^T over Fraction).
 
-    Returns None when the smallest eigenvalue of (possibly negated) A is
-    below -nu - TOL; otherwise the vectors span dimension rank(A + nu*I)."""
-    import numpy as np  # on first use: no other routine needs numpy
-
-    a = np.array(_simple_adjacency(g), dtype=float)
-    if a.size == 0:
-        return AngleRepresentation((), nu, "antigramian" if anti else "gramian")
-    if anti:
-        a = -a
+    Returns None when M is not positive semidefinite (the smallest eigenvalue
+    of the possibly negated A is below -nu): a negative pivot, or a zero pivot
+    with a nonzero entry left in its column.  Each positive pivot d with
+    column x gives the coordinate x[v] / sqrt(d), so the dimension is rank(M)."""
+    a = _simple_adjacency(g)
     try:
-        shift = float(nu)
-    except OverflowError:
+        shift = Fraction(nu)
+        float(shift)  # the coordinates are float square roots
+    except (OverflowError, ValueError):
         raise SgError("nu must be within float range") from None
-    m = a + shift * np.eye(g.n)
-    w, vecs = np.linalg.eigh(m)
-    if w.min() < -TOL:
-        return None
-    w = np.clip(w, 0.0, None)
-    keep = [i for i in range(len(w)) if w[i] > TOL]
-    rho = tuple(
-        tuple(vecs[v, i] * math.sqrt(w[i]) for i in keep) for v in range(g.n)
-    )
-    return AngleRepresentation(rho, nu, "antigramian" if anti else "gramian")
+    m = [[shift if v == w else -x if anti else x for w, x in enumerate(row)] for v, row in enumerate(a)]
+    pivots = []
+    for k in range(g.n):
+        d = m[k][k]
+        col = [(v, m[v][k]) for v in range(k + 1, g.n) if m[v][k]]
+        if d < 0 or (d == 0 and col):
+            return None
+        if d:
+            for v, x in col:
+                for w, y in col:
+                    m[v][w] -= x * y / d
+            pivots.append((k, d, col))
+    rho = [[0.0] * len(pivots) for _ in range(g.n)]
+    for i, (k, d, col) in enumerate(pivots):
+        rho[k][i] = math.sqrt(d)
+        for v, x in col:  # x / sqrt(d), which stays within float range as x^2 / d <= m[v][v]
+            rho[v][i] = math.copysign(math.sqrt(x * x / d), x)
+    return AngleRepresentation(tuple(map(tuple, rho)), nu, "antigramian" if anti else "gramian")
 
 
 def _rational_sqrt(x: Fraction):
@@ -224,11 +232,8 @@ def normalize(rep: AngleRepresentation) -> AngleRepresentation:
     return AngleRepresentation(tuple(out), rep.nu, rep.mode)
 
 
-def membership_in_root_system(rep, rs: RootSystem) -> bool:
-    """True iff every vector (up to sign) lies in the root system, exactly.
-
-    rep may be an AngleRepresentation or a bare iterable of vectors."""
-    vectors = rep.rho if isinstance(rep, AngleRepresentation) else tuple(rep)
+def membership_in_root_system(vectors, rs: RootSystem) -> bool:
+    """True iff every vector (up to sign) lies in the root system, exactly."""
     for v in vectors:
         if len(v) != rs.n:
             raise SgError(f"dimension mismatch: {len(v)} vs {rs.n}")

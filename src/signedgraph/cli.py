@@ -11,7 +11,7 @@ returns (JSON payload, text lines), and prints the result with one `_emit`.
 
 Only `core` is imported with this module.  Each verb handler imports what it
 uses from the other submodules when it runs, so a launch loads just the
-modules of its verb, and numpy only for spectrum and gramian.
+modules of its verb, and numpy only for spectrum.
 """
 
 from __future__ import annotations
@@ -384,7 +384,7 @@ def cmd_gramian(g, args):
 
     try:
         nu = Fraction(args.nu)
-        float(nu)  # construct_gramian shifts A by float(nu)
+        float(nu)  # construct_gramian's vectors are float square roots
     except (ValueError, ZeroDivisionError, OverflowError):
         raise SgError(f"--nu must be a rational number within float range, got {args.nu!r}") from None
     rep = construct_gramian(g, nu, anti=args.anti)

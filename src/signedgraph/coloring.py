@@ -16,7 +16,7 @@ from fractions import Fraction
 from itertools import combinations, product, zip_longest
 from math import comb
 
-from .core import SgError, SignedGraph, _HALF, _LOOP, _LOOSE, _cap, _edge_vector, _find, half, link, loop
+from .core import CAPS, SgError, SignedGraph, _LOOSE, _cap, _edge_vector, _find, half, link, loop
 from .minors import contract_set
 from .polynomial import IntPolynomial
 
@@ -119,6 +119,8 @@ def _delcon(state, zero_free, memo):
         minus = _delcon(_contract(n, rest, e, zero_free), zero_free, memo)
         result = tuple(a - b for a, b in zip_longest(plus, minus, fillvalue=0))
     memo[state] = result
+    if len(memo) > CAPS["deletion-contraction"][0]:
+        _cap("deletion-contraction", len(memo))
     return result
 
 
@@ -190,20 +192,14 @@ def unsigned_flats(n, edge_list):
 # catalog constructions
 
 
-def _has_unbalanced_edge_at(g: SignedGraph, v) -> bool:
-    return any(
-        (e.kind is _HALF and e.ends[0] == v)
-        or (e.kind is _LOOP and e.ends[0] == v and e.sign == -1)
-        for e in g.edges
-    )
-
-
 def make_full(g: SignedGraph, use_loops=False) -> SignedGraph:
     """Attach an unbalanced edge (half edge, or negative loop if use_loops) to
-    every vertex that lacks one."""
+    every vertex that lacks one.  The half edges and negative loops are the
+    edges whose edge vector has one entry."""
     edges = list(g.edges)
+    have = {vec[0][0] for vec in map(_edge_vector, g.edges) if len(vec) == 1}
     for v in range(g.n):
-        if not _has_unbalanced_edge_at(g, v):
+        if v not in have:
             eid = f"f{v + 1}"
             edges.append(loop(eid, v, -1) if use_loops else half(eid, v))
     return SignedGraph(g.n, edges)
@@ -231,8 +227,8 @@ def plus_minus_kn(n) -> SignedGraph:
     return make_signed_expansion(n, complete_graph_edges(n))
 
 
-def plus_minus_kn_full(n, use_loops=False) -> SignedGraph:
-    return make_full(plus_minus_kn(n), use_loops=use_loops)
+def plus_minus_kn_full(n) -> SignedGraph:
+    return make_full(plus_minus_kn(n))
 
 
 def _odd_product(n):

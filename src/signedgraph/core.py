@@ -33,6 +33,8 @@ CAPS = {
     "subset-expansion": (20, "edges"),  # oracles.chromatic_poly_subset
     "region-oracle": (6, "vertices"),  # oracles' signed-permutation points
     "matrix-tree": (8, "vertices"),  # matrix_tree
+    "deletion-contraction": (20_000, "states"),  # coloring._delcon's memo
+    "root-system": (32, "dimension"),  # angle.root_system
     "input-edge": (64, "edges"),  # sgtool's input and catalog --n, unless --max-edges sets it
     "input-vertex": (10**6, "vertices"),  # parse and SignedGraph
 }
@@ -539,11 +541,11 @@ def _signed_circles(n, edges):
         yield (c, *found[c])
 
 
-def enumerate_circles(g: SignedGraph, s=None, cap=CAPS["circle enumeration"][0]):
+def enumerate_circles(g: SignedGraph, s=None):
     """All circles with edges inside s, each once, in canonical order (see
-    `_signed_circles`); s may hold at most cap edges."""
+    `_signed_circles`)."""
     edges = g.edges if s is None else g.restricted(s)
-    _cap("circle enumeration", len(edges), cap)
+    _cap("circle enumeration", len(edges))
     return [c for c, _, _ in _signed_circles(g.n, edges)]
 
 
@@ -551,11 +553,10 @@ def circle_sign(g: SignedGraph, circle) -> int:
     return edge_set_sign(g, circle)
 
 
-def spanning_forest(g: SignedGraph, s=None):
-    """Maximal forest within s, chosen by BFS from the lowest vertex index,
-    scanning edges in id order."""
-    edges = g.edges if s is None else g.restricted(s)
-    parent, _, _ = _bfs_forest(_link_adjacency(g.n, sorted(edges, key=lambda e: e.id)))
+def spanning_forest(g: SignedGraph):
+    """Maximal forest, chosen by BFS from the lowest vertex index, scanning
+    edges in id order."""
+    parent, _, _ = _bfs_forest(_link_adjacency(g.n, sorted(g.edges, key=lambda e: e.id)))
     return frozenset(p[0].id for p in parent if p)
 
 

@@ -89,13 +89,13 @@ def _frame_circuits(g: SignedGraph):
 
 
 def is_frame_circuit(g: SignedGraph, s):
-    """Classify s if it is a frame circuit, else None."""
+    """Classify s if it is a frame circuit, else None.  s is one iff it is
+    minimal dependent: rank(s) = rank(s - e) = |s| - 1 for every e in s; only
+    then are the frame circuits of s enumerated, and s is the only one."""
     s = frozenset(s)
-    sub = g.with_edges(g.restricted(s))
-    for fc in _frame_circuits(sub):
-        if fc.edge_set == s:
-            return fc
-    return None
+    if any(rank(g, t) != len(s) - 1 for t in [s, *(s - {e} for e in s)]):
+        return None
+    return _frame_circuits(g.with_edges(g.restricted(s)))[0]
 
 
 def closure(g: SignedGraph, s) -> frozenset:
@@ -122,9 +122,6 @@ class ClosedSetLattice:
 
     def __len__(self):
         return len(self.elements)
-
-    def leq(self, a, b):
-        return self.elements[a] <= self.elements[b]
 
 
 def closed_sets(g: SignedGraph) -> ClosedSetLattice:

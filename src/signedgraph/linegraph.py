@@ -123,16 +123,16 @@ def negate(g: SignedGraph) -> SignedGraph:
 # generalized line graphs
 
 
-def multigraph_with_petals(n, edge_list, multiplicities, sign=-1):
-    """The base graph (edges carrying the given sign) plus m_i negative
-    digons at vertex i, each digon reaching a fresh vertex.
+def multigraph_with_petals(n, edge_list, multiplicities):
+    """The all-negative base graph plus m_i negative digons at vertex i, each
+    digon reaching a fresh vertex.
 
     A negative digon is a +/- parallel pair; negating the whole graph keeps
     the digons negative."""
     if len(multiplicities) != n:
         raise SgError("need one multiplicity per vertex")
     edges = [
-        link(f"e{k + 1}", u, v, sign) for k, (u, v) in enumerate(edge_list)
+        link(f"e{k + 1}", u, v, -1) for k, (u, v) in enumerate(edge_list)
     ]
     nxt = n
     for v, m in enumerate(multiplicities):
@@ -155,7 +155,7 @@ def generalized_line_graph(n, edge_list, multiplicities):
         raise SgError("need one multiplicity per vertex")
     if any(u == v for u, v in edge_list):
         raise SgError("base graph must be simple")
-    src = multigraph_with_petals(n, edge_list, multiplicities, sign=-1)
+    src = multigraph_with_petals(n, edge_list, multiplicities)
 
     # vertices of -Lambda(Gamma; m...): base edges first, then 2*m_i cocktail
     # party vertices per base vertex

@@ -139,7 +139,7 @@ class IntPolynomial:
         return format_polynomial(self)
 
 
-def format_polynomial(p: IntPolynomial, var="λ") -> str:
+def format_polynomial(p: IntPolynomial) -> str:
     """Canonical descending form, e.g. 'λ^3 - 9λ^2 + 23λ - 15'; zero is '0'."""
     if p.is_zero():
         return "0"
@@ -152,7 +152,7 @@ def format_polynomial(p: IntPolynomial, var="λ") -> str:
         if d == 0:
             body = str(mag)
         else:
-            stem = var if d == 1 else f"{var}^{d}"
+            stem = "λ" if d == 1 else f"λ^{d}"
             body = stem if mag == 1 else f"{mag}{stem}"
         if not parts:
             parts.append(body if c > 0 else f"-{body}")

@@ -14,6 +14,7 @@ from signedgraph import (
     normalize,
     plus_minus_kn,
     plus_minus_kn_full,
+    rational_rank,
     root_system,
     spectrum,
     verify_representation,
@@ -123,9 +124,10 @@ def test_construct_gramian_boundary():
 
 
 def test_construct_gramian_iff_eigenvalue_bound():
+    """Exists iff min(spectrum) >= -nu; the dimension is rank(A + nu*I)."""
     rng = seeded(91)
-    for _ in range(40):
-        n = rng.randint(1, 5)
+    for _ in range(150):
+        n = rng.randint(1, 7)
         edges = []
         k = 0
         for i in range(n):
@@ -136,14 +138,18 @@ def test_construct_gramian_iff_eigenvalue_bound():
                 edges.append(link(f"e{k}", i, j, 1 if r < 0.65 else -1))
                 k += 1
         g = SignedGraph(n, edges)
-        ev = spectrum(adjacency_matrix(g)) if n else [0.0]
-        for nu in (1, 2, 3):
+        a = adjacency_matrix(g)
+        ev = spectrum(a)
+        for nu in (1, 2, 3, Fraction(1, 2), Fraction(3, 2)):
             for anti in (False, True):
+                flip = -1 if anti else 1
                 bound = -max(ev) if anti else min(ev)
                 rep = construct_gramian(g, nu, anti=anti)
                 if bound >= -nu - 1e-8:
                     assert rep is not None
                     assert verify_representation(g, rep)
+                    m = [[flip * a[i][j] + (nu if i == j else 0) for j in range(n)] for i in range(n)]
+                    assert rep.dimension == rational_rank(m)
                 else:
                     assert rep is None
 

@@ -2,6 +2,7 @@
 stops with `<name> cap exceeded (<quantity> <used> > <limit>)`, raised as
 SgError by the library or printed after `error: ` by sgtool, which exits 1."""
 
+import random
 import subprocess
 import sys
 import time
@@ -12,6 +13,7 @@ from signedgraph import (
     SgError,
     SignedGraph,
     catalog,
+    chromatic_poly_delcon,
     chromatic_poly_subset,
     closed_sets,
     count_proper,
@@ -30,6 +32,8 @@ from signedgraph import (
     orient,
     parse,
     region_witness_point,
+    root_system,
+    serialize,
 )
 from signedgraph.core import CAPS
 from conftest import cli_env
@@ -67,14 +71,23 @@ def exits_1(verb, text):
     return case
 
 
-def catalog_n(family, n, *flags):
-    """sgtool catalog of a family built from --n alone: its error message."""
+def exits_1_without_input(*argv):
+    """sgtool on argv alone, reading no file: its error message."""
     def case(tmp_path):
-        r = sgtool(["catalog", "--family", family, "--n", str(n), *flags])
+        r = sgtool(list(argv))
         assert r.returncode == 1 and r.stdout == ""
         return r.stderr.splitlines()[-1][len("error: "):]
 
     return case
+
+
+def links64(seed):
+    """64 distinct links with random signs on 24 vertices, like cli-desk's links64."""
+    rng = random.Random(seed)
+    pairs = set()
+    while len(pairs) < 64:
+        pairs.add(tuple(sorted(rng.sample(range(24), 2))))
+    return SignedGraph(24, [link(f"e{i}", u, v, rng.choice((1, -1))) for i, (u, v) in enumerate(sorted(pairs))])
 
 
 def negative_cycle(n):
@@ -133,11 +146,21 @@ CASES = {
     "matrix-tree": [
         ("matrix-tree cap exceeded (vertices 9 > 8)", raised(matrix_tree, SignedGraph(9, []))),
     ],
+    "deletion-contraction": [
+        ("deletion-contraction cap exceeded (states 20001 > 20000)", raised(chromatic_poly_delcon, links64(1))),
+    ],
+    "root-system": [
+        ("root-system cap exceeded (dimension 33 > 32)", raised(root_system, "A", 33)),
+        ("root-system cap exceeded (dimension 33 > 32)",
+         exits_1_without_input("roots", "--name", "A", "--n", "33")),
+    ],
     "input-edge": [
         ("input-edge cap exceeded (edges 65 > 64)",
          exits_1("info", "sg 1\nn 1\n" + "".join(f"half h{i} 1\n" for i in range(65)))),
-        ("input-edge cap exceeded (edges 72 > 64)", catalog_n("pmkn", 9)),
-        ("input-edge cap exceeded (edges 64 > 63)", catalog_n("pmknfull", 8, "--max-edges", "63")),
+        ("input-edge cap exceeded (edges 72 > 64)",
+         exits_1_without_input("catalog", "--family", "pmkn", "--n", "9")),
+        ("input-edge cap exceeded (edges 64 > 63)",
+         exits_1_without_input("catalog", "--family", "pmknfull", "--n", "8", "--max-edges", "63")),
     ],
     "input-vertex": [
         ("input-vertex cap exceeded (vertices 1000001 > 1000000)", exits_1("balance", "sg 1\nn 1000001\n")),
@@ -162,6 +185,7 @@ def test_inputs_at_the_caps_pass(tmp_path):
     assert enumerate_frame_circuits(SignedGraph(10, [])) == []
     assert min_balancing_set(negative_cycle(20)) == {"c0"}
     assert matrix_tree(SignedGraph(8, [])).consistent
+    assert len(root_system("D", 32)) == 4 * 32 * 31 // 2
     path = tmp_path / "path.sg"
     path.write_text("sg 1\nn 1\n" + "".join(f"half h{i} 1\n" for i in range(64)))
     assert sgtool(["info", str(path)]).returncode == 0
@@ -192,6 +216,15 @@ def test_catalog_of_a_huge_complete_expansion_exits_at_the_input_edge_cap():
     assert time.perf_counter() - start < 1.0
     assert r.returncode == 1 and r.stdout == ""
     assert r.stderr == "error: input-edge cap exceeded (edges 399980000 > 64)\n"
+
+
+def test_polynomial_verbs_on_64_links_exit_at_the_deletion_contraction_cap(tmp_path):
+    path = tmp_path / "links64.sg"
+    path.write_bytes(serialize(links64(2)))
+    for verb in ("chromatic", "charpoly", "regions"):
+        r = sgtool([verb, str(path)])
+        assert r.returncode == 1 and r.stdout == "", verb
+        assert r.stderr == "error: deletion-contraction cap exceeded (states 20001 > 20000)\n", verb
 
 
 def test_catalog_all_negative_on_24_links_exits_at_the_closed_set_cap(tmp_path):

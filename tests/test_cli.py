@@ -158,7 +158,7 @@ def test_regions_output(capsys):
     assert "acyclic: 60" in out
 
 
-def test_edge_cap_env(capsys):
+def test_max_edges_overrides_the_edge_cap_with_a_warning(capsys):
     assert run(["info", SIGMA4, "--max-edges", "3"]) == 1
     err = capsys.readouterr().err
     assert "warning: edge cap overridden" in err
@@ -208,13 +208,11 @@ def numpy_after_each(calls):
     return dict(zip((verb for verb, _ in calls), loaded_after_each("numpy", calls)))
 
 
-def test_numpy_loads_only_for_spectrum_and_gramian(tmp_path):
+def test_numpy_loads_only_for_spectrum(tmp_path):
     inv = invocations(tmp_path)
-    spectral = ("spectrum", "gramian")
-    plain = sorted((verb, extra) for verb, extra in inv.items() if verb not in spectral)
+    plain = sorted((verb, extra) for verb, extra in inv.items() if verb != "spectrum")
     loaded = numpy_after_each(plain + [("spectrum", inv["spectrum"])])
     assert loaded == {verb: False for verb, _ in plain} | {"spectrum": True}
-    assert numpy_after_each([("gramian", inv["gramian"])]) == {"gramian": True}
 
 
 def test_oracles_load_only_when_an_oracle_is_asked_for():

@@ -223,17 +223,8 @@ def test_fundamental_circles_are_the_circles_of_t_plus_e():
             ordinary = {e.id for e in g.edges if e.is_ordinary}
             assert system.keys() == ordinary - t
             for eid, circle in system.items():
-                assert enumerate_circles(g, t | {eid}, cap=len(t) + 1) == [circle]
+                assert enumerate_circles(g, t | {eid}) == [circle]
     with pytest.raises(SgError, match="not a forest"):
         fundamental_system(out_of_order(), {"a", "b", "d"})
     with pytest.raises(SgError, match="not maximal"):
         fundamental_system(out_of_order(), {"a"})
-
-
-def test_circle_enumeration_cap():
-    g = SignedGraph(
-        4,
-        [link(f"{i}{j}", i, j, 1) for i in range(4) for j in range(i + 1, 4)],
-    )
-    with pytest.raises(SgError):
-        enumerate_circles(g, cap=3)

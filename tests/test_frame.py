@@ -1,3 +1,4 @@
+import time
 from itertools import combinations
 
 import pytest
@@ -109,6 +110,25 @@ def test_circuits_are_dependent_and_minimal():
             for e in s:
                 # minimality: every proper subset is independent
                 assert is_independent(g, s - {e})
+
+
+def test_is_frame_circuit_agrees_with_the_enumeration():
+    rng = seeded(43)
+    for _ in range(300):
+        g = random_graph(rng, n_max=6, m_max=10)
+        found = {fc.edge_set: fc for fc in enumerate_frame_circuits(g)}
+        ids = sorted(g.edge_ids)
+        subsets = [*found, *(frozenset(i for i in ids if rng.random() < 0.5) for _ in range(5))]
+        for s in subsets:
+            assert is_frame_circuit(g, s) == found.get(s)
+
+
+def test_is_frame_circuit_of_a_whole_signed_k10_returns_at_once():
+    k10 = SignedGraph(10, [link(f"e{i}_{j}", i, j, -1 if (i + j) % 3 else 1)
+                           for i in range(10) for j in range(i + 1, 10)])
+    start = time.perf_counter()
+    assert is_frame_circuit(k10, k10.edge_ids) is None
+    assert time.perf_counter() - start < 1.0
 
 
 def test_rank_formula(sigma4):

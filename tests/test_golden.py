@@ -117,10 +117,10 @@ CASES = {
     "roots-C-3": ["roots", "--name", "C", "--n", "3"],
     "roots-D-4": ["roots", "--name", "D", "--n", "4"],
     "roots-E8": ["roots", "--name", "E8"],
-    # only nonexistence: the vectors of a representation depend on the
-    # LAPACK eigenbasis
     "gramian-cycle30-nu1": ["gramian", CYCLE30, "--nu", "1"],
     "gramian-cycle30-nu1-anti": ["gramian", CYCLE30, "--nu", "1", "--anti"],
+    "gramian-cycle30-nu2": ["gramian", CYCLE30, "--nu", "2"],
+    "gramian-cycle30-nu3-anti": ["gramian", CYCLE30, "--nu", "3", "--anti"],
 }
 
 FORMATS = {"txt": [], "json": ["--json"]}

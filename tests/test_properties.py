@@ -308,7 +308,7 @@ def test_signed_circles_carry_their_sign_and_vertex_set(g):
 def circle_containment_counts(g):
     """The count matrix_tree replaced: for each independent n-edge set, the
     number of circles inside it."""
-    circles = enumerate_circles(g, cap=len(g.edges))
+    circles = enumerate_circles(g)
     counts = [0] * (g.n + 1)
     for combo in combinations(sorted(g.edge_ids), g.n):
         s = frozenset(combo)
