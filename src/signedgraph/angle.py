@@ -9,11 +9,10 @@ which `verify_representation` compares within TOL.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import product
 
-from .core import SgError, SignedGraph, _LINK, _cap
+from .core import SgError, SignedGraph, _LINK, _Record, _cap, _set
 from .matrices import adjacency_matrix
 
 TOL = 1e-8  # verify_representation's tolerance for float vectors
@@ -21,11 +20,13 @@ TOL = 1e-8  # verify_representation's tolerance for float vectors
 MODES = ("gramian", "antigramian", "angleonly")
 
 
-@dataclass(frozen=True)
-class RootSystem:
-    name: str
-    n: int
-    vectors: frozenset  # tuples of Fraction
+class RootSystem(_Record):
+    __slots__ = ("name", "n", "vectors")  # vectors: tuples of Fraction
+
+    def __init__(self, name, n, vectors):
+        _set(self, "name", name)
+        _set(self, "n", n)
+        _set(self, "vectors", vectors)
 
     def __len__(self):
         return len(self.vectors)
@@ -87,23 +88,23 @@ def root_system(name, n=None) -> RootSystem:
 # angle representations
 
 
-@dataclass(frozen=True)
-class AngleRepresentation:
+class AngleRepresentation(_Record):
     """rho: one vector per vertex (tuples, rational or float); nu > 0;
     mode in {gramian, antigramian, angleonly}."""
 
-    rho: tuple
-    nu: object
-    mode: str = "gramian"
+    __slots__ = ("rho", "nu", "mode")
 
-    def __post_init__(self):
-        if self.mode not in MODES:
-            raise SgError(f"unknown mode {self.mode!r}")
-        if not self.nu > 0:
+    def __init__(self, rho, nu, mode="gramian"):
+        if mode not in MODES:
+            raise SgError(f"unknown mode {mode!r}")
+        if not nu > 0:
             raise SgError("nu must be positive")
-        dims = {len(v) for v in self.rho}
+        dims = {len(v) for v in rho}
         if len(dims) > 1:
             raise SgError("representation vectors have mixed dimensions")
+        _set(self, "rho", rho)
+        _set(self, "nu", nu)
+        _set(self, "mode", mode)
 
     @property
     def dimension(self):
@@ -242,17 +243,3 @@ def membership_in_root_system(vectors, rs: RootSystem) -> bool:
             return False
     return True
 
-
-def pairwise_angle_cosines(rs: RootSystem):
-    """Set of exact squared-cosine values (with sign) between distinct,
-    non-parallel norm-2-squared vectors; used for the angle catalog checks."""
-    vs = sorted(rs.vectors)
-    out = set()
-    for u, v in combinations(vs, 2):
-        if _dot(u, u) != 2 or _dot(v, v) != 2:
-            continue
-        if u == _negv(v):
-            continue
-        d = _dot(u, v)
-        out.add(Fraction(d, 2))
-    return out

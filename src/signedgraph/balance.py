@@ -27,7 +27,6 @@ the balancing-set cap (`core.CAPS`); the search over edge subsets is its oracle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 
 from .core import (
@@ -46,16 +45,20 @@ from .core import (
     _link_adjacency,
     _cap,
     _potential,
+    _Record,
+    _set,
     _signed_circles,
 )
 
 
-@dataclass(frozen=True)
-class BalancePartition:
+class BalancePartition(_Record):
     """pi_b: vertex sets of balanced components; v0: vertices of unbalanced ones."""
 
-    pib: tuple  # tuple of sorted vertex tuples
-    v0: frozenset
+    __slots__ = ("pib", "v0")  # pib: tuple of sorted vertex tuples
+
+    def __init__(self, pib, v0):
+        _set(self, "pib", pib)
+        _set(self, "v0", v0)
 
     @property
     def b(self):
@@ -158,23 +161,23 @@ def switching_equivalent(g1: SignedGraph, g2: SignedGraph):
     return dict(enumerate(zeta))
 
 
-@dataclass
 class _FrustrationCounts:
     """Counts from one DFS per component (`_frustration_counts`), per vertex
     v.  subtree(v) is v's DFS subtree; a back link leaves subtree(v) when its
     lower end is inside and its upper end above v."""
 
-    root: list  # lowest vertex of v's component
-    parent: list  # v's parent vertex, None at a root
-    child: dict  # tree link id -> its lower end
-    frustrated: set  # ids of the frustrated elements
-    fixed: list  # half edges and negative loops at v
-    low_fr: list  # frustrated back links whose lower end is v
-    below_fr: list  # frustrated elements counted at a vertex of subtree(v)
-    cross: list  # back links leaving subtree(v)
-    cross_fr: list  # frustrated back links leaving subtree(v)
-    up: list  # back links leaving subtree(v) that end at v's parent
-    up_fr: list  # frustrated ones among them
+    def __init__(self, root, parent, child, frustrated, fixed, low_fr, below_fr, cross, cross_fr, up, up_fr):
+        self.root = root  # lowest vertex of v's component
+        self.parent = parent  # v's parent vertex, None at a root
+        self.child = child  # tree link id -> its lower end
+        self.frustrated = frustrated  # ids of the frustrated elements
+        self.fixed = fixed  # half edges and negative loops at v
+        self.low_fr = low_fr  # frustrated back links whose lower end is v
+        self.below_fr = below_fr  # frustrated elements counted at a vertex of subtree(v)
+        self.cross = cross  # back links leaving subtree(v)
+        self.cross_fr = cross_fr  # frustrated back links leaving subtree(v)
+        self.up = up  # back links leaving subtree(v) that end at v's parent
+        self.up_fr = up_fr  # frustrated ones among them
 
     def unbalanced(self):
         """Roots of the components with a frustrated element."""

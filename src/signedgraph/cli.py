@@ -12,12 +12,17 @@ returns (JSON payload, text lines), and prints the result with one `_emit`.
 Only `core` is imported with this module.  Each verb handler imports what it
 uses from the other submodules when it runs, so a launch loads just the
 modules of its verb, and numpy only for spectrum.
+
+A launch also builds only what its verb uses: `build_parser` adds just the
+subparser of the verb named first on the command line (all of them for
+--help or an unknown name, so help and usage errors read the same), and json
+is imported only for --json.  The records the library returns are plain
+`__slots__` classes, so no launch imports dataclasses or inspect.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 from . import core
@@ -74,6 +79,8 @@ def _link_ends(g):
 
 def _emit(args, payload, text_lines):
     if args.json:
+        import json
+
         payload = {"schema": SCHEMA, "verb": args.verb, **payload}
         print(json.dumps(payload, sort_keys=True, separators=(",", ":")))
     else:
@@ -401,67 +408,87 @@ def cmd_gramian(g, args):
 # argument parsing
 
 
-def build_parser():
-    ap = argparse.ArgumentParser(prog="sgtool", description=__doc__)
-    sub = ap.add_subparsers(dest="verb", required=True)
+def _arg(*flags, **options):
+    return flags, options
 
-    def add(name, fn, needs_input=True):
+
+_INPUT = _arg("input", help="graph file in sg 1 format")
+
+# verb -> (handler, the verb's own arguments in the order they are added)
+VERBS = {
+    "info": (cmd_info, [_INPUT]),
+    "balance": (cmd_balance, [_INPUT]),
+    "switch": (cmd_switch, [_INPUT, _arg("--vertices", "-x", required=True, help="comma list, 1-based")]),
+    "balancing-edges": (cmd_balancing_edges, [_INPUT]),
+    "delete": (cmd_delete, [_INPUT, _arg("--edges", "-e", required=True)]),
+    "contract": (cmd_contract, [_INPUT, _arg("--edges", "-e", required=True)]),
+    "frame-circuits": (cmd_frame_circuits, [_INPUT]),
+    "closure": (cmd_closure, [_INPUT, _arg("--edges", "-s", default="")]),
+    "rank": (cmd_rank, [_INPUT, _arg("--edges", "-s", default=None)]),
+    "matrix": (cmd_matrix, [
+        _INPUT,
+        _arg("--which", choices=["incidence", "adjacency", "laplacian", "degree"], default="incidence"),
+    ]),
+    "matrix-tree": (cmd_matrix_tree, [_INPUT]),
+    "spectrum": (cmd_spectrum, [
+        _INPUT,
+        _arg("--which", choices=["adjacency", "laplacian"], default="adjacency"),
+    ]),
+    "regions": (cmd_regions, [
+        _INPUT,
+        _arg("--oracle", action="store_true"),
+        _arg("--acyclic", action="store_true"),
+    ]),
+    "acyclic": (cmd_acyclic, [_INPUT]),
+    "charpoly": (cmd_charpoly, [_INPUT]),
+    "chromatic": (cmd_chromatic, [
+        _INPUT,
+        _arg("--zero-free", action="store_true"),
+        _arg("--algorithm", choices=["delcon", "subset", "expansion", "count"], default="delcon"),
+        _arg("--k", type=int, default=None),
+    ]),
+    "catalog": (cmd_catalog, [
+        _arg("input", nargs="?", default=None),
+        _arg("--family", required=True),
+        _arg("--n", type=int, default=None),
+    ]),
+    "linegraph": (cmd_linegraph, [_INPUT, _arg("--reduced", action="store_true")]),
+    "glinegraph": (cmd_glinegraph, [
+        _INPUT,
+        _arg("--m", required=True, help="comma list of vertex multiplicities"),
+    ]),
+    "roots": (cmd_roots, [
+        _arg("--name", required=True, choices=["A", "B", "C", "D", "E8"]),
+        _arg("--n", type=int, default=None),
+    ]),
+    "gramian": (cmd_gramian, [_INPUT, _arg("--nu", required=True), _arg("--anti", action="store_true")]),
+}
+
+
+def build_parser(verb=None):
+    """The sgtool parser.  For a verb in VERBS it holds only that verb's
+    subparser, which parses and reports errors exactly as in the full
+    parser; otherwise (--help, a typo, nothing) it holds all of them."""
+    # --help shows the module docstring less its last paragraph, on launch cost
+    ap = argparse.ArgumentParser(prog="sgtool", description=__doc__.rsplit("\n\n", 1)[0])
+    one = verb in VERBS
+    # a parser for one verb still lists every verb in its usage line
+    sub = ap.add_subparsers(dest="verb", required=True, metavar="{" + ",".join(VERBS) + "}" if one else None)
+    for name in [verb] if one else VERBS:
+        fn, arguments = VERBS[name]
         p = sub.add_parser(name)
         p.set_defaults(fn=fn)
-        if needs_input:
-            p.add_argument("input", help="graph file in sg 1 format")
         p.add_argument("--json", action="store_true")
         p.add_argument("--threads", type=int, default=1, help="accepted; output is identical for any value")
         p.add_argument("--max-edges", type=int, default=None)
-        return p
-
-    add("info", cmd_info)
-    add("balance", cmd_balance)
-    p = add("switch", cmd_switch)
-    p.add_argument("--vertices", "-x", required=True, help="comma list, 1-based")
-    add("balancing-edges", cmd_balancing_edges)
-    p = add("delete", cmd_delete)
-    p.add_argument("--edges", "-e", required=True)
-    p = add("contract", cmd_contract)
-    p.add_argument("--edges", "-e", required=True)
-    add("frame-circuits", cmd_frame_circuits)
-    p = add("closure", cmd_closure)
-    p.add_argument("--edges", "-s", default="")
-    p = add("rank", cmd_rank)
-    p.add_argument("--edges", "-s", default=None)
-    p = add("matrix", cmd_matrix)
-    p.add_argument("--which", choices=["incidence", "adjacency", "laplacian", "degree"], default="incidence")
-    add("matrix-tree", cmd_matrix_tree)
-    p = add("spectrum", cmd_spectrum)
-    p.add_argument("--which", choices=["adjacency", "laplacian"], default="adjacency")
-    p = add("regions", cmd_regions)
-    p.add_argument("--oracle", action="store_true")
-    p.add_argument("--acyclic", action="store_true")
-    add("acyclic", cmd_acyclic)
-    add("charpoly", cmd_charpoly)
-    p = add("chromatic", cmd_chromatic)
-    p.add_argument("--zero-free", action="store_true")
-    p.add_argument("--algorithm", choices=["delcon", "subset", "expansion", "count"], default="delcon")
-    p.add_argument("--k", type=int, default=None)
-    p = add("catalog", cmd_catalog, needs_input=False)
-    p.add_argument("input", nargs="?", default=None)
-    p.add_argument("--family", required=True)
-    p.add_argument("--n", type=int, default=None)
-    p = add("linegraph", cmd_linegraph)
-    p.add_argument("--reduced", action="store_true")
-    p = add("glinegraph", cmd_glinegraph)
-    p.add_argument("--m", required=True, help="comma list of vertex multiplicities")
-    p = add("roots", cmd_roots, needs_input=False)
-    p.add_argument("--name", required=True, choices=["A", "B", "C", "D", "E8"])
-    p.add_argument("--n", type=int, default=None)
-    p = add("gramian", cmd_gramian)
-    p.add_argument("--nu", required=True)
-    p.add_argument("--anti", action="store_true")
+        for flags, options in arguments:
+            p.add_argument(*flags, **options)
     return ap
 
 
 def run(argv=None) -> int:
-    ap = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    ap = build_parser(argv[0] if argv else None)
     try:
         args = ap.parse_args(argv)
     except SystemExit as exc:

@@ -13,7 +13,7 @@ than on graphs, so parallel duplicate constraints collapse.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations, product, zip_longest
+from itertools import product, zip_longest
 from math import comb
 
 from .core import CAPS, SgError, SignedGraph, _LOOSE, _cap, _edge_vector, _find, half, link, loop
@@ -313,18 +313,35 @@ def catalog(family, base=None, n=None, edge_list=None):
 
 
 def max_matching_size(n, edge_list) -> int:
-    """Largest matching in an unsigned graph, by brute force."""
-    edges = list(edge_list)
-    best = 0
-    for r in range(len(edges), 0, -1):
-        if r <= best:
-            break
-        for combo in combinations(edges, r):
-            used = [v for e in combo for v in e]
-            if len(used) == len(set(used)):
-                best = r
-                break
-    return best
+    """Largest matching in an unsigned graph on vertices 0..n-1, by a DP over
+    vertex sets: the lowest vertex of a set is matched to a neighbour in the
+    set or left out.  A set of k vertices stops at k // 2 pairs.  The
+    matching cap bounds n, and with it the 2^n sets."""
+    _cap("matching", n)
+    nbr = [0] * n
+    for u, v in edge_list:
+        nbr[u] |= 1 << v
+        nbr[v] |= 1 << u
+    memo = {0: 0}
+
+    def best(mask):
+        out = memo.get(mask)
+        if out is None:
+            low = mask & -mask
+            rest = mask ^ low
+            bound = mask.bit_count() // 2
+            out = 0
+            cand = nbr[low.bit_length() - 1] & rest
+            while cand and out < bound:
+                w = cand & -cand
+                out = max(out, 1 + best(rest ^ w))
+                cand ^= w
+            if out < bound:
+                out = max(out, best(rest))
+            memo[mask] = out
+        return out
+
+    return best((1 << n) - 1)
 
 
 def color_pair_capacity(n, edge_list) -> int:

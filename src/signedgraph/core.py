@@ -16,9 +16,8 @@ and `_LOOSE`, which read faster than `EdgeKind` members.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from enum import Enum
-from typing import Optional
+from operator import attrgetter
 
 # Every cap on an exponential routine or on sgtool's input: name -> (limit, quantity).
 CAPS = {
@@ -33,6 +32,8 @@ CAPS = {
     "subset-expansion": (20, "edges"),  # oracles.chromatic_poly_subset
     "region-oracle": (6, "vertices"),  # oracles' signed-permutation points
     "matrix-tree": (8, "vertices"),  # matrix_tree
+    "matching": (20, "vertices"),  # coloring.max_matching_size, so color_pair_capacity
+    "dense-matrix": (2048, "vertices"),  # adjacency, degree and incidence matrices, so laplacian
     "deletion-contraction": (20_000, "states"),  # coloring._delcon's memo
     "root-system": (32, "dimension"),  # angle.root_system
     "input-edge": (64, "edges"),  # sgtool's input and catalog --n, unless --max-edges sets it
@@ -63,8 +64,52 @@ class EdgeKind(Enum):
 _LINK, _LOOP, _HALF, _LOOSE = EdgeKind.LINK, EdgeKind.LOOP, EdgeKind.HALF, EdgeKind.LOOSE
 
 
-@dataclass(frozen=True)
-class Edge:
+# A record's __init__ sets its fields with _set; _new makes an instance
+# without running __init__ (see `_edge`).
+_new = object.__new__
+_set = object.__setattr__
+
+
+class _Record:
+    """Base of the library's immutable records.
+
+    A subclass names its fields in `__slots__`, in constructor order (a slot
+    whose name starts with "_" is not a field), and sets them in its own
+    `__init__` with `_set`.  Fields cannot be reassigned or deleted.  Two
+    records are equal when they are of the same class and their field tuples
+    are equal, and a record hashes as its field tuple."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        cls._fields = fields = tuple(f for f in cls.__slots__ if f[0] != "_")
+        get = attrgetter(*fields)
+        cls._key = staticmethod(get if len(fields) > 1 else lambda r: (get(r),))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            key = self._key
+            return key(self) == key(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._key(self))
+
+    def __repr__(self):
+        args = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__qualname__}({args})"
+
+    def __reduce__(self):  # copy and pickle rebuild through __init__
+        return type(self), self._key(self)
+
+
+class Edge(_Record):
     """One edge: a link (2 distinct ends), loop (2 equal ends), half (1), or loose (0).
 
     Links and loops carry a sign in {+1, -1}; half and loose edges are unsigned.
@@ -72,13 +117,10 @@ class Edge:
     on whitespace and cuts at "#", and CLI edge lists split on ",".
     """
 
-    id: str
-    kind: EdgeKind
-    ends: tuple  # vertex indices, length 2 / 2 / 1 / 0
-    sign: Optional[int] = None
+    __slots__ = ("id", "kind", "ends", "sign")  # ends: vertex indices, length 2 / 2 / 1 / 0
 
-    def __post_init__(self):
-        eid, k, ends, sign = self.id, self.kind, self.ends, self.sign
+    def __init__(self, id, kind, ends, sign=None):
+        eid, k = id, kind
         if not isinstance(eid, str) or not _id_ok(eid):
             raise SgError(_BAD_ID.format(eid))
         if type(ends) is not tuple:  # a list would make the edge unhashable
@@ -101,6 +143,10 @@ class Edge:
                 raise SgError(f"edge {eid!r} needs a sign in {{+1,-1}}")
         elif sign is not None:
             raise SgError(f"{k.name.lower()} edge {eid!r} cannot carry a sign")
+        _set(self, "id", eid)
+        _set(self, "kind", k)
+        _set(self, "ends", ends)
+        _set(self, "sign", sign)
 
     @property
     def is_ordinary(self):
@@ -124,21 +170,18 @@ def loose(eid):
     return Edge(eid, _LOOSE, ())
 
 
-@dataclass(frozen=True)
-class SignedGraph:
+class SignedGraph(_Record):
     """A signed graph of order n with an edge sequence (file order preserved)."""
 
-    n: int
-    edges: tuple = ()
+    __slots__ = ("n", "edges", "_by_id")
 
-    def __post_init__(self):
-        n = self.n
+    def __init__(self, n, edges=()):
         if type(n) is not int or n < 0:
             raise SgError(f"order n must be an int >= 0, got {n!r}")
         _cap("input-vertex", n)
         seen = {}
         try:  # an item that is not an Edge fails on .id or .ends
-            edges = tuple(self.edges)
+            edges = tuple(edges)
             for e in edges:
                 eid = e.id
                 if eid in seen:
@@ -149,8 +192,9 @@ class SignedGraph:
                         raise SgError(f"edge {eid!r}: vertex {v!r} out of range")
         except (AttributeError, TypeError):
             raise SgError("edges must be an iterable of Edge objects") from None
-        object.__setattr__(self, "edges", edges)
-        object.__setattr__(self, "_by_id", seen)
+        _set(self, "n", n)
+        _set(self, "edges", edges)
+        _set(self, "_by_id", seen)
 
     def edge(self, eid):
         try:
@@ -180,14 +224,6 @@ class SignedGraph:
 
     def with_edges(self, edges):
         return SignedGraph(self.n, tuple(edges))
-
-
-# Fields are set one by one, in declaration order, as the dataclass __init__
-# does: that keeps the instance's values inline.  Filling e.__dict__ instead
-# builds a dict per instance, which costs memory and slows every later read
-# of the fields.
-_new = object.__new__
-_set = object.__setattr__
 
 
 def _edge(eid, kind, ends, sign=None):

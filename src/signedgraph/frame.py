@@ -9,23 +9,25 @@ cross-checks, `balance_closure` and `closure_by_circuits`, are in `oracles`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 
-from .core import CAPS, SignedGraph, _LOOSE, _cap, _link_adjacency, _potential, _signed_circles
+from .core import CAPS, SignedGraph, _LOOSE, _Record, _cap, _link_adjacency, _potential, _set, _signed_circles
 from .balance import _negative_circles, balance_partition
 
 
-@dataclass(frozen=True)
-class FrameCircuit:
+class FrameCircuit(_Record):
     """A positive circle, loose edge, or tight/loose handcuff.
 
     circles holds the one or two constituent circles (a half edge counts as a
     negative circle); path is the connecting edge set, empty for tight."""
 
-    kind: str  # "positive_circle" | "loose_edge" | "tight_handcuff" | "loose_handcuff"
-    circles: tuple
-    path: frozenset = frozenset()
+    # kind: "positive_circle" | "loose_edge" | "tight_handcuff" | "loose_handcuff"
+    __slots__ = ("kind", "circles", "path")
+
+    def __init__(self, kind, circles, path=frozenset()):
+        _set(self, "kind", kind)
+        _set(self, "circles", circles)
+        _set(self, "path", path)
 
     @property
     def edge_set(self):
@@ -114,11 +116,13 @@ def closure(g: SignedGraph, s) -> frozenset:
     return frozenset(out)
 
 
-@dataclass(frozen=True)
-class ClosedSetLattice:
+class ClosedSetLattice(_Record):
     """All closed edge sets of a graph, ordered by inclusion."""
 
-    elements: tuple  # frozensets, sorted canonically
+    __slots__ = ("elements",)  # frozensets, sorted canonically
+
+    def __init__(self, elements):
+        _set(self, "elements", elements)
 
     def __len__(self):
         return len(self.elements)

@@ -11,21 +11,24 @@ isomorphism relabels with `core._relabel` as contraction does (one edge e is
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 
-from .core import Edge, SgError, SignedGraph, _HALF, _LINK, _LOOP, _LOOSE, _potential, _relabel, link
+from .core import (
+    Edge, SgError, SignedGraph, _HALF, _LINK, _LOOP, _LOOSE, _Record, _potential, _relabel, _set, link,
+)
 from .matrices import adjacency_matrix, reduce as reduce_graph
 from .orientation import BidirectedGraph, orient
 
 
-@dataclass(frozen=True)
-class LineGraphResult:
+class LineGraphResult(_Record):
     """The line graph, its inherited orientation, and the vertex labelling
     (line vertex i is the source edge vertex_labels[i])."""
 
-    graph: SignedGraph
-    bidirected: BidirectedGraph
-    vertex_labels: tuple
+    __slots__ = ("graph", "bidirected", "vertex_labels")
+
+    def __init__(self, graph, bidirected, vertex_labels):
+        _set(self, "graph", graph)
+        _set(self, "bidirected", bidirected)
+        _set(self, "vertex_labels", vertex_labels)
 
 
 def _as_bidirected(g) -> BidirectedGraph:

@@ -1,6 +1,5 @@
 """Exact edge vectors, incidence/adjacency/Laplacian matrices, rational rank,
-the signed Matrix-Tree identity, and floating-point spectra.  The GF(2)
-rank used by the tests' characteristic-2 checks is in `oracles`.
+the signed Matrix-Tree identity, and floating-point spectra.
 
 Matrices are plain nested lists of Python ints (exact, arbitrary precision);
 rationals enter only inside Gaussian elimination.  The canonical column sign
@@ -11,11 +10,11 @@ This module depends only on `core`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations
 
-from .core import SgError, SignedGraph, _HALF, _LINK, _LOOP, _LOOSE, _cap, _edge_vector, _graph, _potential
+from .core import (
+    SgError, SignedGraph, _HALF, _LINK, _LOOP, _LOOSE, _Record, _cap, _edge_vector, _graph, _potential, _set,
+)
 
 
 def edge_vector(g: SignedGraph, eid):
@@ -32,6 +31,7 @@ def incidence_matrix(g: SignedGraph):
 def adjacency_matrix(g: SignedGraph):
     """Symmetric n x n: off-diagonal (#positive - #negative links between the
     pair); diagonal counts half edges plus twice the signed loop excess."""
+    _cap("dense-matrix", g.n)
     a = [[0] * g.n for _ in range(g.n)]
     for e in g.edges:
         if e.kind is _LINK:
@@ -53,6 +53,7 @@ def degree_matrix(g: SignedGraph):
     diagonal also gains 1, so the degree side must carry 2.  (A convention
     counting half edges once breaks both that identity and the matrix-tree
     determinant identity whenever half edges are present.)"""
+    _cap("dense-matrix", g.n)
     diag = [0] * g.n
     for e in g.edges:
         if e.kind is _LINK:
@@ -98,6 +99,8 @@ def reduce(g: SignedGraph) -> SignedGraph:
 
 
 def _to_fractions(m):
+    from fractions import Fraction  # here, so that the integer matrices load no fractions
+
     return [[Fraction(x) for x in row] for row in m]
 
 
@@ -159,15 +162,18 @@ def bareiss_determinant(m) -> int:
 
 def incidence_columns(g: SignedGraph, s):
     """Incidence submatrix restricted to the columns of s (edge order)."""
+    _cap("dense-matrix", g.n)
     cols = [dict(_edge_vector(e)) for e in g.restricted(s)]
     return [[col.get(v, 0) for col in cols] for v in range(g.n)]
 
 
-@dataclass(frozen=True)
-class MatrixTreeReport:
-    det_laplacian: int
-    circle_counts: tuple  # b_i for i = 0..n
-    weighted_sum: int
+class MatrixTreeReport(_Record):
+    __slots__ = ("det_laplacian", "circle_counts", "weighted_sum")  # circle_counts: b_i for i = 0..n
+
+    def __init__(self, det_laplacian, circle_counts, weighted_sum):
+        _set(self, "det_laplacian", det_laplacian)
+        _set(self, "circle_counts", circle_counts)
+        _set(self, "weighted_sum", weighted_sum)
 
     @property
     def consistent(self):

@@ -9,21 +9,21 @@ Contracting a single edge e is contracting the set {e}.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .core import SignedGraph, _graph, _potential, _relabel
+from .core import SignedGraph, _Record, _graph, _potential, _relabel, _set
 
 
-@dataclass(frozen=True)
-class MinorTrace:
+class MinorTrace(_Record):
     """Provenance of a minor: what was removed and where each vertex went.
 
     vertex_map maps old vertex -> new vertex index, or None if absorbed
     (deleted with an unbalanced component or an unbalanced edge)."""
 
-    deleted: frozenset
-    contracted: frozenset
-    vertex_map: dict
+    __slots__ = ("deleted", "contracted", "vertex_map")
+
+    def __init__(self, deleted, contracted, vertex_map):
+        _set(self, "deleted", deleted)
+        _set(self, "contracted", contracted)
+        _set(self, "vertex_map", vertex_map)
 
 
 def delete_edges(g: SignedGraph, s) -> SignedGraph:

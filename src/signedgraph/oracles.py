@@ -167,20 +167,3 @@ def max_used_pairs_bruteforce(n, edge_list, k) -> int:
         best = max(best, sum(1 for m in range(1, k + 1) if m in used and -m in used))
     return best
 
-
-def gf2_rank(m) -> int:
-    """Rank over GF(2) of an integer matrix, for the tests' characteristic-2
-    checks."""
-    rows = [sum((abs(x) % 2) << j for j, x in enumerate(row)) for row in m]
-    rank_ = 0
-    for col in range(len(m[0]) if m else 0):
-        bit = 1 << col
-        pivot = next((i for i, r in enumerate(rows) if r & bit), None)
-        if pivot is None:
-            continue
-        rows[rank_], rows[pivot] = rows[pivot], rows[rank_]
-        for i in range(len(rows)):
-            if i != rank_ and rows[i] & bit:
-                rows[i] ^= rows[rank_]
-        rank_ += 1
-    return rank_

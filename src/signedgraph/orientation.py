@@ -7,32 +7,27 @@ computed by deletion-contraction; the region count is (-1)^n p(-1).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .core import SgError, SignedGraph, _LOOP, _LOOSE, _cap, _edge_vector
-from .coloring import chromatic_poly_delcon
-from .frame import _frame_circuits
-from .polynomial import IntPolynomial
+from .core import SgError, SignedGraph, _LOOP, _LOOSE, _Record, _cap, _edge_vector, _set
 
 
-@dataclass(frozen=True)
-class BidirectedGraph:
+class BidirectedGraph(_Record):
     """A signed graph plus an end-direction tau on edge ends.
 
     tau maps (edge id, slot) -> +1/-1 where slot indexes the edge's stored
     endpoint tuple; sigma(e) = -tau(end0) * tau(end1) for ordinary edges."""
 
-    graph: SignedGraph
-    tau: dict
+    __slots__ = ("graph", "tau")
 
-    def __post_init__(self):
-        for e in self.graph.edges:
+    def __init__(self, graph, tau):
+        for e in graph.edges:
             for slot in range(len(e.ends)):
-                if self.tau.get((e.id, slot)) not in (1, -1):
+                if tau.get((e.id, slot)) not in (1, -1):
                     raise SgError(f"missing/bad direction on end ({e.id!r}, {slot})")
             if e.is_ordinary:
-                if -self.tau[(e.id, 0)] * self.tau[(e.id, 1)] != e.sign:
+                if -tau[(e.id, 0)] * tau[(e.id, 1)] != e.sign:
                     raise SgError(f"tau inconsistent with sign on edge {e.id!r}")
+        _set(self, "graph", graph)
+        _set(self, "tau", tau)
 
     def eta(self, v, eid):
         """Net incidence: sum of tau over the ends of eid at v."""
@@ -66,6 +61,8 @@ def _circuit_tables(g: SignedGraph, tau):
     those whose end at v has tau = -1.  Reversing the edges of mask x makes
     v a source or sink iff (x ^ N) & M is 0 or M.  A vertex where a positive
     loop's ends disagree never is and is left out; a loose edge has none."""
+    from .frame import _frame_circuits  # here, so that orient alone loads no frame
+
     _cap("orientation", sum(len(e.ends) for e in g.edges))
     bit = {e.id: 1 << i for i, e in enumerate(e for e in g.edges if e.kind is not _LOOSE)}
     tables = []
@@ -114,15 +111,17 @@ def enumerate_acyclic(g: SignedGraph) -> int:
     return sum(1 for x in range(1 << k) if _acyclic(tables, x))
 
 
-@dataclass(frozen=True)
-class Hyperplane:
+class Hyperplane(_Record):
     """x_j = sign * x_i (difference), x_i = 0 (coordinate), or 0 = 0."""
 
-    kind: str  # "difference" | "coordinate" | "degenerate"
-    edge_id: str
-    i: int = -1
-    j: int = -1
-    sign: int = 0
+    __slots__ = ("kind", "edge_id", "i", "j", "sign")  # kind: "difference" | "coordinate" | "degenerate"
+
+    def __init__(self, kind, edge_id, i=-1, j=-1, sign=0):
+        _set(self, "kind", kind)
+        _set(self, "edge_id", edge_id)
+        _set(self, "i", i)
+        _set(self, "j", j)
+        _set(self, "sign", sign)
 
     def equation(self):
         if self.kind == "difference":
@@ -150,20 +149,24 @@ def arrangement(g: SignedGraph):
     return out
 
 
-def characteristic_polynomial(g: SignedGraph) -> IntPolynomial:
-    """p(lambda) = sum over S of (-1)^|S| lambda^{b(S)}.
+def characteristic_polynomial(g: SignedGraph):
+    """p(lambda) = sum over S of (-1)^|S| lambda^{b(S)}, an IntPolynomial.
 
     Equals the chromatic polynomial of the graph (Zaslavsky, 1982), and is
     computed as that, by deletion-contraction."""
+    from .coloring import chromatic_poly_delcon  # here, so that orient alone loads no coloring
+
     return chromatic_poly_delcon(g)
 
 
-@dataclass(frozen=True)
-class RegionReport:
-    region_count: int
-    char_poly: IntPolynomial
-    acyclic_count: int = None
-    sign_vector_regions: int = None
+class RegionReport(_Record):
+    __slots__ = ("region_count", "char_poly", "acyclic_count", "sign_vector_regions")
+
+    def __init__(self, region_count, char_poly, acyclic_count=None, sign_vector_regions=None):
+        _set(self, "region_count", region_count)
+        _set(self, "char_poly", char_poly)
+        _set(self, "acyclic_count", acyclic_count)
+        _set(self, "sign_vector_regions", sign_vector_regions)
 
 
 def region_count(g: SignedGraph, oracle=False, count_acyclic=False) -> RegionReport:

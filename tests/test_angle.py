@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -19,7 +20,6 @@ from signedgraph import (
     spectrum,
     verify_representation,
 )
-from signedgraph.angle import pairwise_angle_cosines
 from conftest import seeded
 
 
@@ -44,6 +44,20 @@ def test_d2_vectors():
             (Fraction(-1), Fraction(-1)),
         }
     )
+
+
+def pairwise_angle_cosines(rs):
+    """Set of exact squared-cosine values (with sign) between distinct,
+    non-parallel norm-2-squared vectors of a root system."""
+    def dot(u, v):
+        return sum(a * b for a, b in zip(u, v))
+
+    out = set()
+    for u, v in combinations(sorted(rs.vectors), 2):
+        if dot(u, u) != 2 or dot(v, v) != 2 or u == tuple(-a for a in v):
+            continue
+        out.add(Fraction(dot(u, v), 2))
+    return out
 
 
 def test_root_cosines():

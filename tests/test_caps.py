@@ -12,18 +12,23 @@ import pytest
 from signedgraph import (
     SgError,
     SignedGraph,
+    adjacency_matrix,
     catalog,
     chromatic_poly_delcon,
     chromatic_poly_subset,
     closed_sets,
+    color_pair_capacity,
     count_proper,
+    degree_matrix,
     count_regions_by_sign_vectors,
     enumerate_acyclic,
     enumerate_circles,
     enumerate_frame_circuits,
     half,
     has_two_disjoint_negative_circles,
+    incidence_matrix,
     is_acyclic,
+    laplacian,
     link,
     matrix_tree,
     max_used_pairs_bruteforce,
@@ -146,6 +151,16 @@ CASES = {
     "matrix-tree": [
         ("matrix-tree cap exceeded (vertices 9 > 8)", raised(matrix_tree, SignedGraph(9, []))),
     ],
+    "matching": [
+        ("matching cap exceeded (vertices 21 > 20)", raised(color_pair_capacity, 21, [])),
+    ],
+    "dense-matrix": [
+        ("dense-matrix cap exceeded (vertices 2049 > 2048)", raised(adjacency_matrix, SignedGraph(2049, []))),
+        ("dense-matrix cap exceeded (vertices 2049 > 2048)", raised(degree_matrix, SignedGraph(2049, []))),
+        ("dense-matrix cap exceeded (vertices 2049 > 2048)", raised(incidence_matrix, SignedGraph(2049, []))),
+        ("dense-matrix cap exceeded (vertices 2049 > 2048)", raised(laplacian, SignedGraph(2049, []))),
+        ("dense-matrix cap exceeded (vertices 2049 > 2048)", exits_1("matrix", "sg 1\nn 2049\n")),
+    ],
     "deletion-contraction": [
         ("deletion-contraction cap exceeded (states 20001 > 20000)", raised(chromatic_poly_delcon, links64(1))),
     ],
@@ -185,6 +200,8 @@ def test_inputs_at_the_caps_pass(tmp_path):
     assert enumerate_frame_circuits(SignedGraph(10, [])) == []
     assert min_balancing_set(negative_cycle(20)) == {"c0"}
     assert matrix_tree(SignedGraph(8, [])).consistent
+    assert color_pair_capacity(20, []) == 10
+    assert incidence_matrix(SignedGraph(2048, [])) == [[]] * 2048
     assert len(root_system("D", 32)) == 4 * 32 * 31 // 2
     path = tmp_path / "path.sg"
     path.write_text("sg 1\nn 1\n" + "".join(f"half h{i} 1\n" for i in range(64)))
@@ -225,6 +242,17 @@ def test_polynomial_verbs_on_64_links_exit_at_the_deletion_contraction_cap(tmp_p
         r = sgtool([verb, str(path)])
         assert r.returncode == 1 and r.stdout == "", verb
         assert r.stderr == "error: deletion-contraction cap exceeded (states 20001 > 20000)\n", verb
+
+
+def test_dense_matrix_verbs_on_20000_vertices_exit_at_the_dense_matrix_cap(tmp_path):
+    path = tmp_path / "wide.sg"
+    path.write_text("sg 1\nn 20000\nedge a 1 2 -\n")
+    for argv in (["matrix", "--which", "adjacency"], ["spectrum"], ["gramian", "--nu", "2"]):
+        start = time.perf_counter()
+        r = sgtool([argv[0], str(path), *argv[1:]])
+        assert time.perf_counter() - start < 2.0, argv
+        assert r.returncode == 1 and r.stdout == "", argv
+        assert r.stderr == "error: dense-matrix cap exceeded (vertices 20000 > 2048)\n", argv
 
 
 def test_catalog_all_negative_on_24_links_exits_at_the_closed_set_cap(tmp_path):

@@ -1,3 +1,4 @@
+import ast
 import json
 import subprocess
 import sys
@@ -183,25 +184,26 @@ def test_byte_identical_across_runs_and_threads(tmp_path):
             assert r1.stdout == r2.stdout == r4.stdout, verb
 
 
+# imports no json of its own, so that the calls' use of json shows
 LOADED_AFTER_EACH = """
-import json, sys
+import ast, sys
 from signedgraph.cli import run
-module, calls = json.loads(sys.argv[1])
+module, calls = ast.literal_eval(sys.argv[1])
 loaded = []
 for verb, extra in calls:
     assert run([verb, *extra]) == 0, verb
     loaded.append(module in sys.modules)
-print(json.dumps(loaded))
+print(loaded)
 """
 
 
 def loaded_after_each(module, calls):
     """Run the calls in order in one fresh interpreter; for each, whether
     module was loaded after it."""
-    cmd = [sys.executable, "-c", LOADED_AFTER_EACH, json.dumps([module, calls])]
+    cmd = [sys.executable, "-c", LOADED_AFTER_EACH, repr([module, calls])]
     r = subprocess.run(cmd, capture_output=True, env=cli_env())
     assert r.returncode == 0, r.stderr
-    return json.loads(r.stdout.splitlines()[-1])
+    return ast.literal_eval(r.stdout.decode().splitlines()[-1])
 
 
 def numpy_after_each(calls):
@@ -213,6 +215,38 @@ def test_numpy_loads_only_for_spectrum(tmp_path):
     plain = sorted((verb, extra) for verb, extra in inv.items() if verb != "spectrum")
     loaded = numpy_after_each(plain + [("spectrum", inv["spectrum"])])
     assert loaded == {verb: False for verb, _ in plain} | {"spectrum": True}
+
+
+def test_no_verb_loads_dataclasses_or_inspect(tmp_path):
+    # spectrum is left out here and below: numpy's own imports, inspect among them, are not the library's
+    calls = [(verb, [*extra, *flag]) for flag in ([], ["--json"])
+             for verb, extra in sorted(invocations(tmp_path).items()) if verb != "spectrum"]
+    for module in ("dataclasses", "inspect"):
+        assert loaded_after_each(module, calls) == [False] * len(calls), module
+
+
+def test_json_loads_only_for_json_output(tmp_path):
+    text = [(verb, extra) for verb, extra in sorted(invocations(tmp_path).items()) if verb != "spectrum"]
+    calls = text + [("balance", [SIGMA4, "--json"])]
+    assert loaded_after_each("json", calls) == [False] * len(text) + [True]
+
+
+def test_line_graph_verbs_load_neither_coloring_nor_frame(tmp_path):
+    inv = invocations(tmp_path)
+    calls = [(verb, inv[verb]) for verb in ("linegraph", "glinegraph")]
+    for module in ("signedgraph.coloring", "signedgraph.frame"):
+        assert loaded_after_each(module, calls) == [False, False], module
+
+
+def test_a_parser_built_for_one_verb_reads_as_the_full_one():
+    full = build_parser()
+    assert build_parser("no-such-verb").format_help() == full.format_help()
+    subparsers = full._subparsers._group_actions[0].choices
+    for verb in sorted(ALL_VERBS):
+        one = build_parser(verb)
+        assert list(one._subparsers._group_actions[0].choices) == [verb]
+        assert one.format_usage() == full.format_usage()
+        assert one._subparsers._group_actions[0].choices[verb].format_help() == subparsers[verb].format_help()
 
 
 def test_oracles_load_only_when_an_oracle_is_asked_for():

@@ -1,4 +1,5 @@
-from itertools import product
+import time
+from itertools import combinations, product
 
 import pytest
 
@@ -25,6 +26,7 @@ from signedgraph import (
     switch_set,
     unsigned_chromatic,
 )
+from signedgraph.coloring import max_matching_size
 from conftest import seeded
 
 P3 = (3, [(0, 1), (1, 2)])
@@ -198,6 +200,26 @@ def test_color_pair_capacity_oracle():
             cur = max_used_pairs_bruteforce(n, edge_list, kk)
             assert prev <= cur <= kk
             prev = cur
+
+
+def test_max_matching_size_is_the_largest_matching_edge_set():
+    rng = seeded(16)
+    for _ in range(150):
+        n = rng.randint(0, 8)
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        edge_list = rng.sample(pairs, min(len(pairs), rng.randint(0, 10)))
+        matchings = (
+            r for r in range(len(edge_list) + 1) for s in combinations(edge_list, r)
+            if len({v for e in s for v in e}) == 2 * r
+        )
+        assert max_matching_size(n, edge_list) == max(matchings)
+
+
+def test_color_pair_capacity_of_long_paths_is_quick():
+    for n in (8, 9, 20):
+        start = time.perf_counter()
+        assert color_pair_capacity(n, [(i, i + 1) for i in range(n - 1)]) == n // 2
+        assert time.perf_counter() - start < 1.0
 
 
 def kernel_graph(rng):

@@ -1,6 +1,10 @@
+import copy
+import pickle
+
 import pytest
 
 from signedgraph import (
+    BalancePartition,
     Edge,
     EdgeKind,
     SgError,
@@ -29,6 +33,26 @@ def test_edge_validation():
         Edge("h", EdgeKind.HALF, (0,), 1)  # half edges are unsigned
     with pytest.raises(SgError):
         Edge("l", EdgeKind.LOOSE, (0,))
+
+
+def test_records_are_immutable_values_of_their_own_class():
+    e, same_e = link("a", 0, 1, -1), Edge("a", EdgeKind.LINK, (0, 1), -1)
+    g, same_g = SignedGraph(2, [e]), SignedGraph(2, (same_e,))
+    part, same_part = (BalancePartition(((0,),), frozenset({1})) for _ in range(2))
+    for record, same, field in ((e, same_e, "sign"), (g, same_g, "edges"), (part, same_part, "v0")):
+        with pytest.raises(AttributeError):
+            setattr(record, field, None)
+        with pytest.raises(AttributeError):
+            delattr(record, field)
+        with pytest.raises(AttributeError):
+            record.extra = 1
+        assert record == same and hash(record) == hash(same)
+        assert pickle.loads(pickle.dumps(record)) == record == copy.deepcopy(record)
+    assert repr(e) == "Edge(id='a', kind=<EdgeKind.LINK: 'link'>, ends=(0, 1), sign=-1)"
+    assert g != SignedGraph(2, [link("a", 0, 1, 1)])
+    # equal field tuples, different classes
+    assert BalancePartition(2, (e,)) != SignedGraph(2, (e,)) and SignedGraph(2, (e,)) != BalancePartition(2, (e,))
+    assert e != ("a", EdgeKind.LINK, (0, 1), -1)
 
 
 def test_edge_ids_that_would_not_read_back_are_rejected():

