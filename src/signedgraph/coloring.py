@@ -16,7 +16,7 @@ from fractions import Fraction
 from itertools import product, zip_longest
 from math import comb
 
-from .core import CAPS, SgError, SignedGraph, _LOOSE, _cap, _edge_vector, _find, half, link, loop
+from .core import CAPS, SgError, SignedGraph, _LOOSE, _cap, _edge_vector, half, link, loop
 from .minors import contract_set
 from .polynomial import IntPolynomial
 
@@ -167,27 +167,6 @@ def unsigned_chromatic(n, edge_list) -> IntPolynomial:
     return chromatic_poly_delcon(SignedGraph(n, edges))
 
 
-def unsigned_flats(n, edge_list):
-    """Closed edge sets of an unsigned graph: S is closed iff every edge whose
-    endpoints are joined by S lies in S."""
-    edges = list(edge_list)
-    m = len(edges)
-    _cap("closed-set", m)
-    flats = []
-    for mask in range(1 << m):
-        sub = [edges[i] for i in range(m) if mask >> i & 1]
-        parent = list(range(n))
-        for u, v in sub:
-            parent[_find(parent, u)] = _find(parent, v)
-        closed = all(
-            mask >> i & 1 or _find(parent, edges[i][0]) != _find(parent, edges[i][1])
-            for i in range(m)
-        )
-        if closed:
-            flats.append(mask)
-    return flats
-
-
 # ---------------------------------------------------------------------------
 # catalog constructions
 
@@ -288,11 +267,14 @@ def catalog(family, base=None, n=None, edge_list=None):
         g = make_signed(n, edge_list, -1)
         # flat-sum: for each flat F, colorings factor into a proper coloring of
         # the contraction by absolute value (lambda/2 magnitudes) and a free
-        # sign per contracted vertex, hence the 2^(order of the contraction)
+        # sign per contracted vertex, hence the 2^(order of the contraction).
+        # The flats of Gamma are the closed sets of +Gamma.
+        from .frame import closed_sets
+
         plus = make_signed(n, edge_list, 1)
         star = IntPolynomial.zero()
-        for flat in unsigned_flats(n, edge_list):
-            h, _ = contract_set(plus, [e.id for i, e in enumerate(plus.edges) if flat >> i & 1])
+        for flat in closed_sets(plus).elements:
+            h, _ = contract_set(plus, flat)
             term = chromatic_poly_delcon(h).compose_affine(Fraction(1, 2), 0)
             star = star + term.scale(2**h.n)
         return g, None, star.as_int()

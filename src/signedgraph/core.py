@@ -11,6 +11,11 @@ are only for data derived from a validated graph, or from a line that `parse`
 has already checked: minors, switchings, relabellings and the parser itself.
 Hot loops compare kinds with the module constants `_LINK`, `_LOOP`, `_HALF`
 and `_LOOSE`, which read faster than `EdgeKind` members.
+
+`_UndoableUnionFind` is the library's one union-find.  The walks over edge
+subsets (`oracles.chromatic_poly_subset`, `frame.closed_sets`,
+`matrices.matrix_tree`) add and undo one edge per step on it, at O(log n)
+each, instead of rebuilding b(S) or the closure for every subset.
 """
 
 from __future__ import annotations
@@ -32,6 +37,7 @@ CAPS = {
     "subset-expansion": (20, "edges"),  # oracles.chromatic_poly_subset
     "region-oracle": (6, "vertices"),  # oracles' signed-permutation points
     "matrix-tree": (8, "vertices"),  # matrix_tree
+    "matrix-tree set": (1 << 20, "n-edge sets"),  # matrix_tree's walk over C(m, n) edge sets
     "matching": (20, "vertices"),  # coloring.max_matching_size, so color_pair_capacity
     "dense-matrix": (2048, "vertices"),  # adjacency, degree and incidence matrices, so laplacian
     "deletion-contraction": (20_000, "states"),  # coloring._delcon's memo
@@ -361,12 +367,90 @@ def serialize(g: SignedGraph) -> bytes:
 # subgraph structure
 
 
-def _find(parent, x):
-    """Union-find root of x, halving the path on the way."""
-    while parent[x] != x:
-        parent[x] = parent[parent[x]]
-        x = parent[x]
-    return x
+def _frame_edge(e):
+    """e as the undoable union-find takes it: (u, v, p) for a link or loop
+    from u to v, p = 0 if positive and 1 if negative; (v, v, 1) for a half
+    edge at v, which acts as a negative loop; None for a loose edge."""
+    if e.sign is not None:
+        return e.ends[0], e.ends[1], 0 if e.sign == 1 else 1
+    return (e.ends[0], e.ends[0], 1) if e.ends else None
+
+
+class _UndoableUnionFind:
+    """Union-find with parity over range(n) for growing and shrinking an
+    edge set S one edge at a time, as a depth-first walk over edge subsets
+    does.  Union by size and no path compression keep each root search at
+    O(log n) and let `undo` restore the state exactly.
+
+    parity[v] is 1 when v's potential differs from its parent's, unbal[r]
+    marks an unbalanced component at its root r, and comps and unbalanced
+    count the components and the unbalanced ones, so at every step
+    b(S) = comps - unbalanced and rank(S) = n - b(S)."""
+
+    __slots__ = ("parent", "parity", "size", "unbal", "comps", "unbalanced", "_trail")
+
+    def __init__(self, n):
+        self.parent = list(range(n))
+        self.parity = [0] * n
+        self.size = [1] * n
+        self.unbal = [False] * n
+        self.comps = n
+        self.unbalanced = 0
+        self._trail = []
+
+    def add(self, e):
+        """Add the edge e, as `_frame_edge` gives it, to S; True iff the rank
+        grew, that is iff e is not in clos(S)."""
+        if e is None:
+            self._trail.append(None)
+            return False
+        ru, rv, p = e
+        parent, parity = self.parent, self.parity
+        while parent[ru] != ru:  # to the roots, with p the parity of e read between them
+            p ^= parity[ru]
+            ru = parent[ru]
+        while parent[rv] != rv:
+            p ^= parity[rv]
+            rv = parent[rv]
+        unbal = self.unbal
+        if ru == rv:
+            if p and not unbal[ru]:  # a negative circle in a balanced component
+                unbal[ru] = True
+                self.unbalanced += 1
+                self._trail.append(ru)
+                return True
+            self._trail.append(None)
+            return False
+        size = self.size
+        if size[ru] < size[rv]:
+            ru, rv = rv, ru
+        both = unbal[ru] and unbal[rv]  # a loose handcuff: rank and b stay
+        parent[rv] = ru
+        parity[rv] = p
+        size[ru] += size[rv]
+        self._trail.append((rv, unbal[ru]))
+        unbal[ru] = unbal[ru] or unbal[rv]
+        self.comps -= 1
+        self.unbalanced -= both
+        return not both
+
+    def undo(self):
+        """Revert the last `add` that is not yet undone."""
+        step = self._trail.pop()
+        if step is None:
+            return
+        if type(step) is int:
+            self.unbal[step] = False
+            self.unbalanced -= 1
+            return
+        rv, was = step
+        ru = self.parent[rv]
+        self.parent[rv] = rv
+        self.parity[rv] = 0
+        self.size[ru] -= self.size[rv]
+        self.unbalanced += was and self.unbal[rv]
+        self.unbal[ru] = was
+        self.comps += 1
 
 
 def _link_adjacency(n, edges):

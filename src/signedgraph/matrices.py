@@ -5,15 +5,19 @@ Matrices are plain nested lists of Python ints (exact, arbitrary precision);
 rationals enter only inside Gaussian elimination.  The canonical column sign
 fixes the ambiguity the theory leaves open: the lower endpoint of a link gets
 entry +1, a half edge gets +1, a negative loop +2 (`core._edge_vector`).
-This module depends only on `core`.
+The matrix-tree count walks the independent n-edge sets depth first on
+core's undoable union-find, at O(log n) per edge tried.  This module depends
+only on `core`.
 """
 
 from __future__ import annotations
 
-from itertools import combinations
+from math import comb
+from operator import attrgetter
 
 from .core import (
-    SgError, SignedGraph, _HALF, _LINK, _LOOP, _LOOSE, _Record, _cap, _edge_vector, _graph, _potential, _set,
+    SgError, SignedGraph, _HALF, _LINK, _LOOP, _LOOSE, _Record, _UndoableUnionFind, _cap, _edge_vector, _frame_edge,
+    _graph, _set,
 )
 
 
@@ -185,17 +189,33 @@ def matrix_tree(g: SignedGraph) -> MatrixTreeReport:
     exactly i circles, both computed independently.
 
     An n-edge set S is independent iff every component of (V, S) is
-    unbalanced (`core._potential`).  Then each component has as many edges
-    as vertices, so it holds one circle, or a half edge and no circle: S
-    holds one circle per component, less one per half edge."""
+    unbalanced.  Then each component has as many edges as vertices, so it
+    holds one circle, or a half edge and no circle: S holds one circle per
+    component, less one per half edge.  The sets are walked depth first over
+    the id-sorted edges on one undoable union-find, which descends only while
+    an added edge raises the rank, since independence is hereditary; each
+    step costs O(log n).  The matrix-tree set cap bounds the C(m, n) sets."""
     _cap("matrix-tree", g.n)
+    n = g.n
+    edges = sorted(g.edges, key=attrgetter("id"))
+    m = len(edges)
+    _cap("matrix-tree set", comb(m, n))
     det = bareiss_determinant(laplacian(g))
-    counts = [0] * (g.n + 1)
-    halves = {e.id for e in g.edges if e.kind is _HALF}
-    for s in combinations(sorted(g.edge_ids), g.n):
-        _, root, unbalanced = _potential(g, s)
-        if all(r in unbalanced for r in root):
-            counts[len(unbalanced) - len(halves.intersection(s))] += 1
+    counts = [0] * (n + 1)
+    frame = [_frame_edge(e) for e in edges]
+    is_half = [e.kind is _HALF for e in edges]
+    uf = _UndoableUnionFind(n)
+
+    def walk(start, size, halves):
+        if size == n:
+            counts[uf.unbalanced - halves] += 1
+            return
+        for i in range(start, m - n + size + 1):
+            if uf.add(frame[i]):
+                walk(i + 1, size + 1, halves + is_half[i])
+            uf.undo()
+
+    walk(0, 0, 0)
     weighted = sum(4**i * bi for i, bi in enumerate(counts))
     return MatrixTreeReport(det, tuple(counts), weighted)
 

@@ -60,7 +60,6 @@ from signedgraph import (
     verify_representation,
     IntPolynomial,
 )
-from signedgraph.coloring import complement_edges, max_matching_size
 from conftest import balance_oracle, cli_env, fixture_path, random_graph, seeded
 
 SIGMA4_PATH = fixture_path("sigma4.sg")
@@ -392,9 +391,15 @@ def test_criterion_11_catalog_cross_checks():
             )
             assert chie == expected == chromatic_poly_delcon(ge)
             # color-pair capacity of the all-negative signature equals the
-            # maximum matching of the complement
+            # maximum matching of the complement, found here by trying every
+            # set of non-adjacent pairs
             cap = color_pair_capacity(n, edge_list)
-            assert cap == max_matching_size(n, complement_edges(n, edge_list))
+            present = {frozenset(e) for e in edge_list}
+            non_edges = [p for p in combinations(range(n), 2) if frozenset(p) not in present]
+            assert cap == max(
+                r for r in range(len(non_edges) + 1) for pairs in combinations(non_edges, r)
+                if len({v for p in pairs for v in p}) == 2 * r
+            )
             assert cap == max_used_pairs_bruteforce(n, edge_list, n)
 
 

@@ -95,6 +95,12 @@ def links64(seed):
     return SignedGraph(24, [link(f"e{i}", u, v, rng.choice((1, -1))) for i, (u, v) in enumerate(sorted(pairs))])
 
 
+def links8(m, seed=1):
+    """m links with random ends and signs on 8 vertices, parallel links allowed."""
+    rng = random.Random(seed)
+    return SignedGraph(8, [link(f"e{i}", *rng.sample(range(8), 2), rng.choice((1, -1))) for i in range(m)])
+
+
 def negative_cycle(n):
     """An n-cycle whose one negative link is c0."""
     return SignedGraph(n, [link(f"c{i}", i, (i + 1) % n, -1 if i == 0 else 1) for i in range(n)])
@@ -150,6 +156,11 @@ CASES = {
     ],
     "matrix-tree": [
         ("matrix-tree cap exceeded (vertices 9 > 8)", raised(matrix_tree, SignedGraph(9, []))),
+    ],
+    "matrix-tree set": [  # C(25, 8) = 1081575
+        ("matrix-tree set cap exceeded (n-edge sets 1081575 > 1048576)", raised(matrix_tree, links8(25))),
+        ("matrix-tree set cap exceeded (n-edge sets 1081575 > 1048576)",
+         exits_1("matrix-tree", serialize(links8(25)).decode())),
     ],
     "matching": [
         ("matching cap exceeded (vertices 21 > 20)", raised(color_pair_capacity, 21, [])),
@@ -225,6 +236,18 @@ def test_routines_that_used_to_run_unbounded_stop_at_once():
     within_a_second(region_witness_point, digon, orient(digon))
     within_a_second(SignedGraph, 10**11, [])
     within_a_second(parse, b"sg 1\nn 99999999999\n")
+
+
+def test_matrix_tree_on_64_links_exits_at_the_set_cap_and_answers_on_24(tmp_path):
+    path = tmp_path / "links8.sg"
+    path.write_bytes(serialize(links8(64)))
+    start = time.perf_counter()
+    r = sgtool(["matrix-tree", str(path)])
+    assert time.perf_counter() - start < 1.0
+    assert r.returncode == 1 and r.stdout == ""
+    assert r.stderr == "error: matrix-tree set cap exceeded (n-edge sets 4426165368 > 1048576)\n"
+    report = matrix_tree(links8(24))  # C(24, 8) = 735471 sets, under the cap
+    assert report.consistent and sum(report.circle_counts) > 0
 
 
 def test_catalog_of_a_huge_complete_expansion_exits_at_the_input_edge_cap():

@@ -4,7 +4,8 @@ fixture file parses to SgError or to a graph that round-trips, graphs built
 without checks (parse, switchings, minors) are the graphs the public
 constructors build, switching changes no switching invariant, every
 reading of the edge vector and of the signed circles agrees with its
-definition, and closure obeys the closure axioms.
+definition, closure obeys the closure axioms, and each walk over edge
+subsets on the undoable union-find equals its per-subset recomputation.
 
 Runs are derandomized, so every run tries the same examples."""
 
@@ -19,6 +20,8 @@ import pytest
 from signedgraph import (
     BidirectedGraph,
     Edge,
+    EdgeKind,
+    IntPolynomial,
     SgError,
     SignedGraph,
     adjacency_matrix,
@@ -29,6 +32,7 @@ from signedgraph import (
     chromatic_poly_subset,
     chromatic_via_expansion,
     classify_balancing_edges,
+    closed_sets,
     closure,
     contract_edge,
     contract_set,
@@ -63,7 +67,7 @@ from signedgraph import (
     switching_equivalent,
 )
 from signedgraph.coloring import _constraints
-from signedgraph.core import _signed_circles, delete_vertices
+from signedgraph.core import _UndoableUnionFind, _frame_edge, _potential, _signed_circles, delete_vertices
 from conftest import FIXTURES, balance_oracle
 
 PROPERTY = settings(
@@ -371,3 +375,70 @@ def test_hyperplane_constraint_and_tau_agree_with_the_edge_vector(g, points):
             on = sum(c * y for c, y in zip(x, p)) == 0
             assert on_hyperplane(h, p) == on
             assert violates(cons, p) == on
+
+
+def all_subsets(g):
+    """Every edge set of g, by size and then by sorted id tuple."""
+    ids = sorted(g.edge_ids)
+    return (frozenset(c) for r in range(len(ids) + 1) for c in combinations(ids, r))
+
+
+@PROPERTY
+@given(graphs(n_max=6, m_max=10))
+def test_subset_expansion_walk_is_the_per_subset_sum(g):
+    chi, chi_star = [0] * (g.n + 1), [0] * (g.n + 1)
+    for s in all_subsets(g):
+        part = balance_partition(g, s)
+        chi[part.b] += (-1) ** len(s)
+        if not part.v0:
+            chi_star[part.b] += (-1) ** len(s)
+    assert chromatic_poly_subset(g) == IntPolynomial(chi)
+    assert chromatic_poly_subset(g, zero_free=True) == IntPolynomial(chi_star)
+
+
+@PROPERTY
+@given(graphs(n_max=6, m_max=10))
+def test_closed_set_walk_is_the_per_subset_closure_test(g):
+    assert closed_sets(g).elements == tuple(s for s in all_subsets(g) if closure(g, s) == s)
+
+
+@PROPERTY
+@given(graphs(n_max=6, m_max=10))
+def test_matrix_tree_walk_is_the_per_set_count(g):
+    halves = {e.id for e in g.edges if e.kind is EdgeKind.HALF}
+    counts = [0] * (g.n + 1)
+    for combo in combinations(sorted(g.edge_ids), g.n):
+        _, root, unbalanced = _potential(g, combo)
+        if all(r in unbalanced for r in root):
+            counts[len(unbalanced) - len(halves.intersection(combo))] += 1
+    assert matrix_tree(g).circle_counts == tuple(counts)
+
+
+def union_find_state(uf):
+    return list(uf.parent), list(uf.parity), list(uf.size), list(uf.unbal), uf.comps, uf.unbalanced
+
+
+@PROPERTY
+@given(st.data(), graphs(n_max=6, m_max=10))
+def test_union_find_tracks_b_and_rank_and_undo_restores_its_state(data, g):
+    uf = _UndoableUnionFind(g.n)
+    states, added = [union_find_state(uf)], []
+    for grow in data.draw(st.lists(st.booleans(), max_size=30)):
+        rest = [e for e in g.edges if e.id not in added]
+        if grow and rest:
+            e = data.draw(st.sampled_from(rest))
+            b = uf.comps - uf.unbalanced
+            grew = uf.add(_frame_edge(e))
+            added.append(e.id)
+            states.append(union_find_state(uf))
+            assert uf.comps - uf.unbalanced == balance_partition(g, added).b
+            assert grew == (uf.comps - uf.unbalanced < b)
+        elif added:
+            uf.undo()
+            added.pop()
+            states.pop()
+            assert union_find_state(uf) == states[-1]
+    while added:
+        uf.undo()
+        added.pop()
+    assert union_find_state(uf) == states[0]
