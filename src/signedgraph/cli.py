@@ -276,7 +276,7 @@ def cmd_charpoly(g, args):
 
 
 def cmd_chromatic(g, args):
-    from .coloring import chromatic_numbers, chromatic_poly_delcon, count_proper
+    from .coloring import _least_k, chromatic_poly_delcon, count_proper
     from .polynomial import format_polynomial
 
     zf = args.zero_free
@@ -298,9 +298,10 @@ def cmd_chromatic(g, args):
         from .oracles import chromatic_poly_subset
 
         p = chromatic_poly_subset(g, zero_free=zf)
-    else:
-        p = chromatic_poly_delcon(g, zero_free=zf)
-    chi, chi_star = chromatic_numbers(g)
+    polys = chromatic_poly_delcon(g), chromatic_poly_delcon(g, zero_free=True)
+    if args.algorithm == "delcon":
+        p = polys[zf]
+    chi, chi_star = _least_k(*polys, g.n)
     lines = [format_polynomial(p)]
     lines.append(f"chromatic-number: {chi}, zero-free: {chi_star}")
     payload = {

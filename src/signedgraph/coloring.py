@@ -7,7 +7,8 @@ Colors live in {-k..-1, 0, 1..k}; the two polynomials are evaluated at
 lambda = 2k+1 (with zero) and lambda = 2k (zero-free).  Half-integer
 substitutions in the catalog closed forms stay in exact rational arithmetic.
 Deletion-contraction recurses on sets of integer constraint triples rather
-than on graphs, so parallel duplicate constraints collapse.
+than on graphs, so parallel duplicate constraints collapse, and it takes a
+pendant vertex off as a factor lambda - 1 instead of splitting its link.
 """
 
 from __future__ import annotations
@@ -95,24 +96,45 @@ def _contract(n, cons, e, zero_free):
     return n - 1, frozenset(out)
 
 
-def _link_order(c):
-    """Links before (v, v, 0); among links, the highest endpoints first, so
-    that contraction relabels as few vertices as possible."""
-    u, v, s = c
-    return s != 0, v, u, s
-
-
 def _delcon(state, zero_free, memo):
     """chi(state) = chi(state - e) - chi(state / e) on a link e; with no links
-    left, lambda^(n-z) (lambda-1)^z for z vertices barred from color 0."""
+    left, lambda^(n-z) (lambda-1)^z for z vertices barred from color 0.
+
+    Pendant rule: if a vertex w has one constraint and it is a link to u,
+    then w may take every color but sigma gamma(u), which is always one of
+    the lambda colors (with or without 0), so chi(state) = (lambda - 1)
+    chi(state - w), the vertices above w shifted down by one.  A (w, w, 0)
+    as well would leave lambda - 2 colors when gamma(u) != 0, so the rule
+    does not fire there.  One pass over the constraints counts each vertex's
+    links, a (v, v, 0) counting two so that a count of one means pendant,
+    and finds the link to split when no vertex is pendant: the one with the
+    highest ends, so that contraction relabels as few vertices as possible.
+    Every step removes at least one link."""
     hit = memo.get(state)
     if hit is not None:
         return hit
     n, cons = state
-    e = max(cons, key=_link_order, default=None)
-    if e is None or not e[2]:
+    deg = [0] * n
+    e = None
+    top = -1
+    for c in cons:
+        u, v, s = c
+        if s:
+            deg[u] += 1
+            deg[v] += 1
+            key = (v * n + u) * 2 + (s > 0)  # by higher end, lower end, sign
+            if key > top:
+                top, e = key, c
+        else:
+            deg[v] += 2
+    if e is None:
         z = len(cons)
         result = (0,) * (n - z) + tuple((-1) ** (z - j) * comb(z, j) for j in range(z + 1))
+    elif 1 in deg:
+        w = n - 1 - deg[::-1].index(1)  # the highest pendant vertex
+        rest = frozenset((a - (a > w), b - (b > w), s) for a, b, s in cons if w != a and w != b)
+        p = _delcon((n - 1, rest), zero_free, memo)
+        result = tuple(a - b for a, b in zip_longest((0,) + p, p, fillvalue=0))  # (lambda - 1) p
     else:
         rest = cons - {e}
         plus = _delcon((n, rest), zero_free, memo)
@@ -124,11 +146,18 @@ def _delcon(state, zero_free, memo):
     return result
 
 
+def _cap_depth(cons):
+    """Cap the links of a starting state: each step of `_delcon` removes at
+    least one, so they bound its recursion depth."""
+    _cap("deletion-contraction link", sum(1 for c in cons if c[2]))
+
+
 def chromatic_poly_delcon(g: SignedGraph, zero_free=False) -> IntPolynomial:
     """Chromatic polynomial by deletion-contraction with memoization."""
     cons = _constraints(g, zero_free)
     if cons is None:
         return IntPolynomial.zero()
+    _cap_depth(cons)
     return IntPolynomial(_delcon((g.n, cons), zero_free, {}))
 
 
@@ -139,14 +168,17 @@ def chromatic_poly_delcon(g: SignedGraph, zero_free=False) -> IntPolynomial:
 def chromatic_numbers(g: SignedGraph):
     """(chi, chi*): least k with chi(2k+1) != 0 resp. chi*(2k) != 0; None for
     an identically zero polynomial."""
-    chi = chromatic_poly_delcon(g)
-    chi_star = chromatic_poly_delcon(g, zero_free=True)
+    return _least_k(chromatic_poly_delcon(g), chromatic_poly_delcon(g, zero_free=True), g.n)
+
+
+def _least_k(chi, chi_star, n):
+    """chromatic_numbers from the two polynomials of an n-vertex graph."""
     num = None
     if not chi.is_zero():
-        num = next(k for k in range(g.n + 2) if chi(2 * k + 1) != 0)
+        num = next(k for k in range(n + 2) if chi(2 * k + 1) != 0)
     num_star = None
     if not chi_star.is_zero():
-        num_star = next(k for k in range(g.n + 2) if chi_star(2 * k) != 0)
+        num_star = next(k for k in range(n + 2) if chi_star(2 * k) != 0)
     return num, num_star
 
 

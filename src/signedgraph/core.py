@@ -41,6 +41,8 @@ CAPS = {
     "matching": (20, "vertices"),  # coloring.max_matching_size, so color_pair_capacity
     "dense-matrix": (2048, "vertices"),  # adjacency, degree and incidence matrices, so laplacian
     "deletion-contraction": (20_000, "states"),  # coloring._delcon's memo
+    "deletion-contraction link": (256, "links"),  # coloring._delcon's recursion depth
+    "stable-set": (1 << 15, "stable sets"),  # oracles.chromatic_via_expansion's walk
     "root-system": (32, "dimension"),  # angle.root_system
     "input-edge": (64, "edges"),  # sgtool's input and catalog --n, unless --max-edges sets it
     "input-vertex": (10**6, "vertices"),  # parse and SignedGraph

@@ -16,10 +16,10 @@ from itertools import combinations, permutations, product
 from operator import attrgetter
 
 from .core import (
-    SignedGraph, _LOOSE, _UndoableUnionFind, _cap, _frame_edge, delete_vertices, edge_set_sign, enumerate_circles,
+    SignedGraph, _LOOSE, _UndoableUnionFind, _cap, _frame_edge, edge_set_sign, enumerate_circles,
 )
 from .balance import is_balanced
-from .coloring import _constraints, _delcon, is_proper, make_signed
+from .coloring import _constraints, _cap_depth, _delcon, is_proper, make_signed
 from .polynomial import IntPolynomial
 
 
@@ -63,27 +63,64 @@ def min_balancing_set_exhaustive(g: SignedGraph) -> frozenset:
                 return frozenset(combo)
 
 
-def stable_vertex_sets(g: SignedGraph):
-    """Vertex sets W such that no non-loose edge has all endpoints inside W,
-    by size, then lexicographically."""
-    ends = [frozenset(e.ends) for e in g.edges if e.ends]
-    subsets = (frozenset(c) for r in range(g.n + 1) for c in combinations(range(g.n), r))
-    return [w for w in subsets if not any(s <= w for s in ends)]
-
-
 def chromatic_via_expansion(g: SignedGraph) -> IntPolynomial:
-    """chi(lambda) = sum over stable W of chi*_{g - W}(lambda - 1); the sum
-    is taken first and shifted once.  One deletion-contraction memo serves
-    every g - W, since its key is the whole constraint state.  Oracle for
-    coloring.chromatic_poly_delcon."""
-    total = IntPolynomial.zero()
+    """chi(lambda) = sum over stable W of chi*_{g - W}(lambda - 1): W is a
+    vertex set that holds no edge's every end, so no vertex with a half edge
+    or a loop.  The sum is taken first and shifted once.  Oracle for
+    coloring.chromatic_poly_delcon.
+
+    The walk runs on the constraint triples of g (`coloring._constraints`)
+    and decides the vertices in order: each is kept, or put in W when it has
+    no (v, v, 0) and no link to a lower vertex in W.  A kept vertex gets its
+    number in g - W and adds its links to kept lower vertices, so each
+    stable W ends with the constraint state of chi*_{g - W}, and no graph is
+    built.  Open branches wait on a list, not on the call stack, so any n
+    can be walked; the stable sets visited are capped.  Equal states are
+    counted and each is expanded once, on one deletion-contraction memo."""
+    cons = _constraints(g, False)
+    if cons is None:
+        return IntPolynomial.zero()
+    _cap_depth(cons)
+    n = g.n
+    lower = [[] for _ in range(n)]  # (u, sigma) for each link (u, v, sigma), at v
+    barred = [False] * n  # vertices with a (v, v, 0), never in W
+    for u, v, s in cons:
+        if s:
+            lower[v].append((u, s))
+        else:
+            barred[v] = True
+    counts = {}  # the constraint state of g - W: how many stable W give it
+    label = [0] * n  # a kept vertex's number in g - W; -1 in W
+    trail = []  # the link triples of g - W among the decided vertices
+    branches = []  # (v, kept vertices below v, len(trail)): v may go in W
+    sets = v = k = 0
+    while True:
+        if v == n:
+            sets += 1
+            _cap("stable-set", sets)
+            state = k, frozenset(trail)
+            counts[state] = counts.get(state, 0) + 1
+            if not branches:
+                break
+            v, k, t = branches.pop()
+            del trail[t:]
+            label[v] = -1
+            v += 1
+            continue
+        if not barred[v] and all(label[u] >= 0 for u, _ in lower[v]):
+            branches.append((v, k, len(trail)))
+        for u, s in lower[v]:
+            if label[u] >= 0:
+                trail.append((label[u], k, s))
+        label[v] = k
+        k += 1
+        v += 1
+    coeffs = [0] * (n + 1)
     memo = {}
-    for w in stable_vertex_sets(g):
-        h = delete_vertices(g, w)
-        cons = _constraints(h, True)
-        if cons is not None:
-            total = total + IntPolynomial(_delcon((h.n, cons), True, memo))
-    return total.compose_affine(1, -1).as_int()
+    for state, times in counts.items():
+        for i, c in enumerate(_delcon(state, True, memo)):
+            coeffs[i] += times * c
+    return IntPolynomial(coeffs).compose_affine(1, -1).as_int()
 
 
 def _signed_permutation_points(n):

@@ -104,13 +104,15 @@ class IntPolynomial:
         return IntPolynomial(k * c for c in self.coeffs)
 
     def compose_affine(self, a, b):
-        """p(a*lambda + b) with exact Fraction arithmetic."""
-        a, b = Fraction(a), Fraction(b)
-        arg = IntPolynomial((b, a))
-        acc = IntPolynomial()
+        """p(a*lambda + b), exact: by Horner's rule on the coefficient list,
+        in int arithmetic for int a and b, else in Fractions."""
+        if not (type(a) is int and type(b) is int):
+            a, b = Fraction(a), Fraction(b)
+        acc = []
         for c in reversed(self.coeffs):
-            acc = acc * arg + IntPolynomial((Fraction(c),))
-        return acc
+            acc = [b * x + a * y for x, y in zip(acc + [0], [0] + acc)]
+            acc[0] += c
+        return IntPolynomial(acc)
 
     @staticmethod
     def _coerce(other):

@@ -16,6 +16,7 @@ from signedgraph import (
     catalog,
     chromatic_poly_delcon,
     chromatic_poly_subset,
+    chromatic_via_expansion,
     closed_sets,
     color_pair_capacity,
     count_proper,
@@ -36,6 +37,7 @@ from signedgraph import (
     min_balancing_set_exhaustive,
     orient,
     parse,
+    region_count,
     region_witness_point,
     root_system,
     serialize,
@@ -64,11 +66,11 @@ def sgtool(argv, timeout=10):
     return subprocess.run(cmd, capture_output=True, text=True, env=cli_env(), timeout=timeout)
 
 
-def exits_1(verb, text):
+def exits_1(verb, text, *options):
     def case(tmp_path):
         path = tmp_path / "in.sg"
         path.write_text(text)
-        r = sgtool([verb, str(path)])
+        r = sgtool([verb, str(path), *options])
         assert r.returncode == 1 and r.stdout == ""
         assert r.stderr.startswith("error: ") and r.stderr.endswith("\n")
         return r.stderr[len("error: "):-1]
@@ -104,6 +106,11 @@ def links8(m, seed=1):
 def negative_cycle(n):
     """An n-cycle whose one negative link is c0."""
     return SignedGraph(n, [link(f"c{i}", i, (i + 1) % n, -1 if i == 0 else 1) for i in range(n)])
+
+
+def long_path(n):
+    """The all-positive path on n vertices, n - 1 links."""
+    return SignedGraph(n, [link(f"p{i}", i, i + 1, 1) for i in range(n - 1)])
 
 
 K7_PAIRS = [(i, j) for i in range(7) for j in range(i + 1, 7)]
@@ -175,6 +182,16 @@ CASES = {
     "deletion-contraction": [
         ("deletion-contraction cap exceeded (states 20001 > 20000)", raised(chromatic_poly_delcon, links64(1))),
     ],
+    "deletion-contraction link": [
+        ("deletion-contraction link cap exceeded (links 257 > 256)", raised(chromatic_poly_delcon, long_path(258))),
+        ("deletion-contraction link cap exceeded (links 257 > 256)", raised(chromatic_via_expansion, long_path(258))),
+        ("deletion-contraction link cap exceeded (links 257 > 256)", raised(region_count, long_path(258))),
+    ],
+    "stable-set": [  # 2^16 stable sets
+        ("stable-set cap exceeded (stable sets 32769 > 32768)", raised(chromatic_via_expansion, SignedGraph(16, []))),
+        ("stable-set cap exceeded (stable sets 32769 > 32768)",
+         exits_1("chromatic", "sg 1\nn 16\n", "--algorithm", "expansion")),
+    ],
     "root-system": [
         ("root-system cap exceeded (dimension 33 > 32)", raised(root_system, "A", 33)),
         ("root-system cap exceeded (dimension 33 > 32)",
@@ -212,6 +229,8 @@ def test_inputs_at_the_caps_pass(tmp_path):
     assert min_balancing_set(negative_cycle(20)) == {"c0"}
     assert matrix_tree(SignedGraph(8, [])).consistent
     assert color_pair_capacity(20, []) == 10
+    assert chromatic_poly_delcon(long_path(257)).degree == 257
+    assert chromatic_via_expansion(SignedGraph(15, [])).degree == 15
     assert incidence_matrix(SignedGraph(2048, [])) == [[]] * 2048
     assert len(root_system("D", 32)) == 4 * 32 * 31 // 2
     path = tmp_path / "path.sg"
@@ -265,6 +284,16 @@ def test_polynomial_verbs_on_64_links_exit_at_the_deletion_contraction_cap(tmp_p
         r = sgtool([verb, str(path)])
         assert r.returncode == 1 and r.stdout == "", verb
         assert r.stderr == "error: deletion-contraction cap exceeded (states 20001 > 20000)\n", verb
+
+
+def test_expansion_of_24_isolated_vertices_exits_at_the_stable_set_cap(tmp_path):
+    path = tmp_path / "empty24.sg"
+    path.write_text("sg 1\nn 24\n")
+    start = time.perf_counter()
+    r = sgtool(["chromatic", str(path), "--algorithm", "expansion"])
+    assert time.perf_counter() - start < 1.0
+    assert r.returncode == 1 and r.stdout == ""
+    assert r.stderr == "error: stable-set cap exceeded (stable sets 32769 > 32768)\n"
 
 
 def test_dense_matrix_verbs_on_20000_vertices_exit_at_the_dense_matrix_cap(tmp_path):

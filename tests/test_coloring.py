@@ -1,10 +1,12 @@
 import time
 from itertools import combinations, product
+from math import comb
 
 import pytest
 
 from signedgraph import (
     EdgeKind,
+    IntPolynomial,
     SgError,
     SignedGraph,
     chromatic_numbers,
@@ -327,3 +329,50 @@ def test_pm_kn_closed_forms_up_to_8():
         g, chi, star = catalog("pm_kn", n=n)
         assert chromatic_poly_delcon(g) == chi
         assert chromatic_poly_delcon(g, zero_free=True) == star
+
+
+def power_of_lambda_minus_1(k):
+    return IntPolynomial(comb(k, j) * (-1) ** (k - j) for j in range(k + 1))
+
+
+def cycle(n, negative):
+    """An n-cycle whose first `negative` links are negative, the rest positive."""
+    return SignedGraph(n, [link(f"c{i}", i, (i + 1) % n, -1 if i < negative else 1) for i in range(n)])
+
+
+def closed_form_in_a_second(g, chi, chi_star):
+    start = time.perf_counter()
+    assert chromatic_poly_delcon(g) == chi
+    assert chromatic_poly_delcon(g, zero_free=True) == chi_star
+    assert time.perf_counter() - start < 1.0
+
+
+def test_long_path_is_lambda_times_lambda_minus_1_to_the_links():
+    rng = seeded(406)
+    g = SignedGraph(200, [link(f"p{i}", i, i + 1, rng.choice((1, -1))) for i in range(199)])
+    p = power_of_lambda_minus_1(199) * IntPolynomial.x()
+    closed_form_in_a_second(g, p, p)
+
+
+def test_long_cycles_have_their_closed_forms():
+    # the deletion-contraction link cap admits cycles of up to 256 links
+    n = 256
+    p = power_of_lambda_minus_1(n)
+    closed_form_in_a_second(cycle(n, 1), p, p - 1)
+    balanced = p + power_of_lambda_minus_1(1)
+    closed_form_in_a_second(cycle(n, 2), balanced, balanced)
+    for n in range(3, 7):
+        p = power_of_lambda_minus_1(n)
+        sign = (-1) ** n
+        assert chromatic_poly_delcon(cycle(n, 1)) == chromatic_poly_subset(cycle(n, 1)) == p
+        assert chromatic_poly_delcon(cycle(n, 1), zero_free=True) == p - sign
+        balanced = p + power_of_lambda_minus_1(1).scale(sign)
+        assert chromatic_poly_delcon(cycle(n, 2)) == chromatic_poly_subset(cycle(n, 2)) == balanced
+        assert chromatic_poly_delcon(cycle(n, 2), zero_free=True) == balanced
+
+
+def test_a_path_past_the_link_cap_raises_sg_error_not_recursion_error():
+    g = SignedGraph(1200, [link(f"p{i}", i, i + 1, 1) for i in range(1199)])
+    for route in (chromatic_poly_delcon, chromatic_via_expansion, characteristic_polynomial, chromatic_numbers):
+        with pytest.raises(SgError, match="deletion-contraction link cap exceeded"):
+            route(g)

@@ -127,6 +127,39 @@ def test_every_chromatic_route_agrees(g):
         assert count_proper(g, k, zero_free=True) == chi_star(2 * k)
 
 
+@st.composite
+def pendant_trees(draw):
+    """A small graph with a tree hung on it: each new vertex gets one link to
+    an earlier vertex, and some get a half edge, a negative loop or an
+    opposite parallel link as well, which makes them not pendant for chi.
+    The vertices are then renumbered at random."""
+    base = draw(graphs(n_max=4, m_max=4))
+    edges = list(base.edges)
+    extra = draw(st.integers(1, 4))
+    for i in range(base.n, base.n + extra):
+        u = draw(st.integers(0, i - 1))
+        sign = draw(st.sampled_from((1, -1)))
+        edges.append(link(f"t{i}", u, i, sign))
+        also = draw(st.sampled_from(("none", "none", "half", "negative loop", "opposite link")))
+        if also == "half":
+            edges.append(half(f"x{i}", i))
+        elif also == "negative loop":
+            edges.append(loop(f"x{i}", i, -1))
+        elif also == "opposite link":
+            edges.append(link(f"x{i}", u, i, -sign))
+    n = base.n + extra
+    perm = draw(st.permutations(range(n)))
+    return SignedGraph(n, [Edge(e.id, e.kind, tuple(perm[v] for v in e.ends), e.sign) for e in edges])
+
+
+@PROPERTY
+@given(pendant_trees())
+def test_pendant_rule_agrees_with_the_subset_expansion(g):
+    chi = chromatic_poly_subset(g)
+    assert chromatic_poly_delcon(g) == chi == chromatic_via_expansion(g)
+    assert chromatic_poly_delcon(g, zero_free=True) == chromatic_poly_subset(g, zero_free=True)
+
+
 @PROPERTY
 @given(st.data(), graphs(n_max=6, m_max=10))
 def test_balance_is_the_definition(data, g):
