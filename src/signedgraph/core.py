@@ -41,7 +41,9 @@ CAPS = {
     "matching": (20, "vertices"),  # coloring.max_matching_size, so color_pair_capacity
     "dense-matrix": (2048, "vertices"),  # adjacency, degree and incidence matrices, so laplacian
     "deletion-contraction": (20_000, "states"),  # coloring._delcon's memo
-    "deletion-contraction link": (256, "links"),  # coloring._delcon's recursion depth
+    # coloring._delcon's recursion depth: a tracer that wraps it in two more
+    # functions makes a level cost three frames, 3 * 257 of the default 1000
+    "deletion-contraction link": (256, "links"),
     "stable-set": (1 << 15, "stable sets"),  # oracles.chromatic_via_expansion's walk
     "root-system": (32, "dimension"),  # angle.root_system
     "input-edge": (64, "edges"),  # sgtool's input and catalog --n, unless --max-edges sets it

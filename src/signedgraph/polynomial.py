@@ -104,10 +104,8 @@ class IntPolynomial:
         return IntPolynomial(k * c for c in self.coeffs)
 
     def compose_affine(self, a, b):
-        """p(a*lambda + b), exact: by Horner's rule on the coefficient list,
-        in int arithmetic for int a and b, else in Fractions."""
-        if not (type(a) is int and type(b) is int):
-            a, b = Fraction(a), Fraction(b)
+        """p(a*lambda + b) by Horner's rule on the coefficient list; exact
+        for int and Fraction a and b."""
         acc = []
         for c in reversed(self.coeffs):
             acc = [b * x + a * y for x, y in zip(acc + [0], [0] + acc)]

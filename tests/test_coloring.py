@@ -1,3 +1,4 @@
+import sys
 import time
 from itertools import combinations, product
 from math import comb
@@ -28,7 +29,9 @@ from signedgraph import (
     switch_set,
     unsigned_chromatic,
 )
+from signedgraph import coloring
 from signedgraph.coloring import max_matching_size
+from signedgraph.core import CAPS
 from conftest import seeded
 
 P3 = (3, [(0, 1), (1, 2)])
@@ -376,3 +379,32 @@ def test_a_path_past_the_link_cap_raises_sg_error_not_recursion_error():
     for route in (chromatic_poly_delcon, chromatic_via_expansion, characteristic_polynomial, chromatic_numbers):
         with pytest.raises(SgError, match="deletion-contraction link cap exceeded"):
             route(g)
+
+
+def test_three_frames_a_level_fit_at_the_link_cap(monkeypatch):
+    # A tracer that wraps `_delcon` by name in two more functions makes each
+    # level of the recursion cost three frames.  At the cap that is about
+    # 3 * 257 frames, which leaves room under Python's default limit of 1000.
+    links = CAPS["deletion-contraction link"][0]
+    assert 3 * (links + 1) <= 800
+    inner = coloring._delcon
+
+    def middle(state, zero_free, memo):
+        return inner(state, zero_free, memo)
+
+    def outer(state, zero_free, memo):
+        return middle(state, zero_free, memo)
+
+    monkeypatch.setattr(coloring, "_delcon", outer)
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    path = SignedGraph(links + 1, [link(f"p{i}", i, i + 1, -1) for i in range(links)])
+    p = power_of_lambda_minus_1(links)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + 3 * (links + 1) + 10)
+    try:
+        assert chromatic_poly_delcon(path) == p * IntPolynomial.x()
+        assert chromatic_poly_delcon(cycle(links, 1), zero_free=True) == p - 1
+    finally:
+        sys.setrecursionlimit(limit)
