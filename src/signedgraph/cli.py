@@ -23,6 +23,7 @@ is imported only for --json.  The records the library returns are plain
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from . import core
@@ -360,7 +361,10 @@ def cmd_glinegraph(g, args):
         mult = [int(x) for x in args.m.split(",")]
     except ValueError:
         raise SgError(f"bad multiplicity list {args.m!r}") from None
-    src, lam = generalized_line_graph(g.n, _link_ends(g), mult)
+    links = _link_ends(g)
+    # the petal graph is built from --m, not read: bound its edges before building it
+    core._cap("input-edge", len(links) + 2 * sum(mult), args.max_edges)
+    src, lam = generalized_line_graph(g.n, links, mult)
     red = reduced_line_graph(src).graph
     iso = switching_isomorphic(red, lam) is not None
     (out1, line1), (out2, line2) = _graph_text(src), _graph_text(lam)
@@ -505,7 +509,15 @@ def run(argv=None) -> int:
 
 
 def main():
-    sys.exit(run())
+    try:
+        code = run()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # stdout was closed early (`sgtool ... | head`): point it at devnull so
+        # the flush at exit cannot raise again, and exit nonzero
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
+    sys.exit(code)
 
 
 if __name__ == "__main__":

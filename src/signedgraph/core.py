@@ -15,7 +15,9 @@ and `_LOOSE`, which read faster than `EdgeKind` members.
 `_UndoableUnionFind` is the library's one union-find.  The walks over edge
 subsets (`oracles.chromatic_poly_subset`, `frame.closed_sets`,
 `matrices.matrix_tree`) add and undo one edge per step on it, at O(log n)
-each, instead of rebuilding b(S) or the closure for every subset.
+each, instead of rebuilding b(S) or the closure for every subset;
+`linegraph.switching_isomorphic` keeps on it the switching factors that its
+partial vertex map forces, and undoes them when it backs up.
 """
 
 from __future__ import annotations
@@ -45,6 +47,7 @@ CAPS = {
     # functions makes a level cost three frames, 3 * 257 of the default 1000
     "deletion-contraction link": (256, "links"),
     "stable-set": (1 << 15, "stable sets"),  # oracles.chromatic_via_expansion's walk
+    "switching-isomorphism": (1 << 15, "candidates"),  # linegraph.switching_isomorphic's (v, w) tries
     "root-system": (32, "dimension"),  # angle.root_system
     "input-edge": (64, "edges"),  # sgtool's input and catalog --n, unless --max-edges sets it
     "input-vertex": (10**6, "vertices"),  # parse and SignedGraph
@@ -604,15 +607,6 @@ def _relabel(n, edges, vmap, zeta=None):
             sign *= zeta[e.ends[0]] * zeta[e.ends[1]]
         out.append(_edge(e.id, kind, ends, sign))
     return _graph(n, out)
-
-
-def delete_vertices(g: SignedGraph, w) -> SignedGraph:
-    """Remove the vertices of w and every edge with an endpoint in w; the
-    remaining vertices are renumbered in order."""
-    w = frozenset(w)
-    keep = [v for v in range(g.n) if v not in w]
-    relabel = {v: i for i, v in enumerate(keep)}
-    return _relabel(len(keep), (e for e in g.edges if w.isdisjoint(e.ends)), relabel)
 
 
 def _edge_vector(e):

@@ -4,17 +4,13 @@ and switching isomorphism of signed graphs.
 The source graph must consist of links only; line-graph vertices are the
 source edges in file order.  Two parallel source edges share two vertices and
 therefore get two parallel line edges, one per shared vertex.  Switching
-isomorphism relabels with `core._relabel` as contraction does (one edge e is
-`contract_set` on {e}) and solves its forced signs with `core._potential`.
+isomorphism is one non-recursive search over vertex maps; the switching
+factors a partial map forces live on `core._UndoableUnionFind`.
 """
 
 from __future__ import annotations
 
-from collections import Counter
-
-from .core import (
-    Edge, SgError, SignedGraph, _HALF, _LINK, _LOOP, _LOOSE, _Record, _potential, _relabel, _set, link,
-)
+from .core import Edge, SgError, SignedGraph, _LINK, _LOOP, _Record, _UndoableUnionFind, _cap, _set, link
 from .matrices import adjacency_matrix, reduce as reduce_graph
 from .orientation import BidirectedGraph, orient
 
@@ -134,6 +130,8 @@ def multigraph_with_petals(n, edge_list, multiplicities):
     the digons negative."""
     if len(multiplicities) != n:
         raise SgError("need one multiplicity per vertex")
+    if any(m < 0 for m in multiplicities):
+        raise SgError(f"multiplicity must be an int >= 0, got {min(multiplicities)}")
     edges = [
         link(f"e{k + 1}", u, v, -1) for k, (u, v) in enumerate(edge_list)
     ]
@@ -154,8 +152,6 @@ def generalized_line_graph(n, edge_list, multiplicities):
     its definition (line graph of the base, disjoint cocktail party graphs,
     join edges), negated.  The reduced line graph of the first equals the
     second up to switching and isomorphism."""
-    if len(multiplicities) != n:
-        raise SgError("need one multiplicity per vertex")
     if any(u == v for u, v in edge_list):
         raise SgError("base graph must be simple")
     src = multigraph_with_petals(n, edge_list, multiplicities)
@@ -198,87 +194,84 @@ def generalized_line_graph(n, edge_list, multiplicities):
 # switching isomorphism
 
 
-def _switching_same_multigraph(g1: SignedGraph, g2: SignedGraph):
-    """True iff the two graphs on the same vertex set, with equal underlying
-    multigraphs, differ by a switching (edge ids ignored)."""
-    def classes(g):
-        out = {}
-        for e in g.edges:
-            key = (e.kind, tuple(sorted(e.ends)))
-            out.setdefault(key, []).append(e.sign)
-        return out
+def _tables(g: SignedGraph):
+    """Per vertex [degree, half edges, positive loops, negative loops] and, per
+    link neighbour, [positive, negative] link counts; the loose-edge count."""
+    at = [[0, 0, 0, 0] for _ in range(g.n)]
+    links = [{} for _ in range(g.n)]
+    loose = 0
+    for e in g.edges:
+        ends, neg = e.ends, e.sign == -1
+        for v in ends:
+            at[v][0] += 1
+        if e.kind is _LINK:
+            u, v = ends
+            links[u].setdefault(v, [0, 0])[neg] += 1
+            links[v].setdefault(u, [0, 0])[neg] += 1
+        elif e.kind is _LOOP:
+            at[ends[0]][2 + neg] += 1
+        elif ends:
+            at[ends[0]][1] += 1
+        else:
+            loose += 1
+    return at, links, loose
 
-    c1, c2 = classes(g1), classes(g2)
-    if {k: len(v) for k, v in c1.items()} != {k: len(v) for k, v in c2.items()}:
-        return False
 
-    # per class: the admissible factors zeta(u)*zeta(v); a class that admits
-    # one factor only becomes a forced link carrying that factor as its sign
-    forced = []
-    for key, signs1 in c1.items():
-        kind, ends = key
-        if kind is _HALF or kind is _LOOSE:
-            continue
-        m1, m2 = Counter(signs1), Counter(c2[key])
-        same = m1 == m2
-        opposite = m1 == Counter({-s: c for s, c in m2.items()})
-        if kind is _LOOP:
-            if not same:  # zeta(v)^2 = 1 always
-                return False
-        elif not (same or opposite):
-            return False
-        elif same != opposite:
-            forced.append(link(str(len(forced)), *ends, 1 if same else -1))
-    # some zeta meets every forced factor iff the forced links are balanced
-    return not _potential(SignedGraph(g1.n, forced))[2]
+_NO_LINKS = [0, 0]  # a list, as the tables hold; never written
 
 
 def switching_isomorphic(g1: SignedGraph, g2: SignedGraph):
     """A vertex bijection phi with g1^phi switching-equivalent to g2, or None.
 
-    Backtracking over vertex assignments with degree and link-multiplicity
-    pruning; meant for desk-scale graphs (order around 10)."""
+    Maps the vertices v of g1 in order of falling degree, each to the lowest
+    free vertex w of g2 that fits, backing up on an explicit stack.  v fits w
+    when both have the same degree, half edges and loops by sign, and for
+    every u mapped before, the links v-u carry the signs of the links w-phi(u)
+    or all of them negated.  Where exactly one of the two holds, it forces
+    zeta(u)zeta(v) = +1 or -1; the forced factors live on one undoable
+    union-find, and a w that makes it unbalanced does not fit.  Each (v, w)
+    tried counts against the switching-isomorphism cap."""
     if g1.n != g2.n or len(g1.edges) != len(g2.edges):
         return None
-
-    def tables(g):
-        degree = [0] * g.n
-        links = Counter()  # {u, v} -> number of links joining u and v
-        for e in g.edges:
-            for v in e.ends:
-                degree[v] += 1
-            if e.kind is _LINK:
-                links[frozenset(e.ends)] += 1
-        return degree, links
-
-    (deg1, links1), (deg2, links2) = tables(g1), tables(g2)
-    if sorted(deg1) != sorted(deg2):
+    (at1, links1, loose1), (at2, links2, loose2) = _tables(g1), _tables(g2)
+    if loose1 != loose2 or sorted(at1) != sorted(at2):
         return None
-
-    order = sorted(range(g1.n), key=lambda v: -deg1[v])
-    phi = {}
-    used = set()
-
-    def consistent(v, w):
-        return deg1[v] == deg2[w] and all(
-            links1[frozenset((v, u))] == links2[frozenset((w, x))] for u, x in phi.items()
-        )
-
-    def backtrack(i):
-        if i == len(order):
-            return _switching_same_multigraph(_relabel(g1.n, g1.edges, phi), g2)
-        v = order[i]
-        for w in range(g2.n):
-            if w in used or not consistent(v, w):
-                continue
-            phi[v] = w
-            used.add(w)
-            if backtrack(i + 1):
-                return True
-            del phi[v]
-            used.discard(w)
-        return False
-
-    if backtrack(0):
-        return dict(phi)
-    return None
+    n = g1.n
+    order = sorted(range(n), key=lambda v: -at1[v][0])
+    image, forced = [], []  # phi(order[i]), and how many factors that choice put on uf
+    used = [False] * n
+    uf = _UndoableUnionFind(n)
+    steps = w = 0
+    while len(image) < n:
+        if w == n:  # nothing fits order[len(image)]: back up
+            if not image:
+                return None
+            w = image.pop()
+            used[w] = False
+            for _ in range(forced.pop()):
+                uf.undo()
+            w += 1
+            continue
+        steps += 1
+        _cap("switching-isomorphism", steps)
+        v, k = order[len(image)], 0
+        fits = not used[w] and at1[v] == at2[w]
+        for u, x in zip(order, image) if fits else ():
+            a, b = links1[v].get(u, _NO_LINKS), links2[w].get(x, _NO_LINKS)
+            same, opposite = a == b, a == b[::-1]
+            if same != opposite:
+                uf.add((v, u, int(opposite)))
+                k += 1
+            fits = (same or opposite) and not uf.unbalanced
+            if not fits:
+                break
+        if fits:
+            image.append(w)
+            forced.append(k)
+            used[w] = True
+            w = 0
+        else:
+            for _ in range(k):
+                uf.undo()
+            w += 1
+    return dict(zip(order, image))

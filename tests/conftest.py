@@ -13,7 +13,7 @@ from signedgraph import (
     loose,
     parse,
 )
-from signedgraph.core import _signed_circles
+from signedgraph.core import _relabel, _signed_circles
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
@@ -84,6 +84,15 @@ def balance_oracle(g, s=None):
         if edge_set_sign(g, c) == -1:
             return False
     return True
+
+
+def delete_vertices(g, w):
+    """Remove the vertices of w and every edge with an endpoint in w; the
+    remaining vertices are renumbered in order."""
+    w = frozenset(w)
+    keep = [v for v in range(g.n) if v not in w]
+    relabel = {v: i for i, v in enumerate(keep)}
+    return _relabel(len(keep), (e for e in g.edges if w.isdisjoint(e.ends)), relabel)
 
 
 def seeded(seed):

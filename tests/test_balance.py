@@ -23,8 +23,7 @@ from signedgraph import (
     switching_equivalent,
 )
 from signedgraph.balance import _frustration_counts
-from signedgraph.core import delete_vertices
-from conftest import balance_oracle, random_graph, seeded
+from conftest import balance_oracle, delete_vertices, random_graph, seeded
 
 
 def neg_triangle(offset=0, n=3):

@@ -2,7 +2,9 @@
 stops with `<name> cap exceeded (<quantity> <used> > <limit>)`, raised as
 SgError by the library or printed after `error: ` by sgtool, which exits 1."""
 
+import os
 import random
+import re
 import subprocess
 import sys
 import time
@@ -41,9 +43,13 @@ from signedgraph import (
     region_witness_point,
     root_system,
     serialize,
+    switching_isomorphic,
 )
 from signedgraph.core import CAPS
+from signedgraph.linegraph import multigraph_with_petals
 from conftest import cli_env
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 def halves(m):
@@ -72,8 +78,13 @@ def exits_1(verb, text, *options):
         path.write_text(text)
         r = sgtool([verb, str(path), *options])
         assert r.returncode == 1 and r.stdout == ""
-        assert r.stderr.startswith("error: ") and r.stderr.endswith("\n")
-        return r.stderr[len("error: "):-1]
+        err = r.stderr
+        if "--max-edges" in options:
+            warning = f"warning: edge cap overridden to {options[options.index('--max-edges') + 1]}\n"
+            assert err.startswith(warning)
+            err = err[len(warning):]
+        assert err.startswith("error: ") and err.endswith("\n")
+        return err[len("error: "):-1]
 
     return case
 
@@ -111,6 +122,16 @@ def negative_cycle(n):
 def long_path(n):
     """The all-positive path on n vertices, n - 1 links."""
     return SignedGraph(n, [link(f"p{i}", i, i + 1, 1) for i in range(n - 1)])
+
+
+def complete(n, negative=()):
+    """K_n with every link positive but those in negative, pairs (i, j) with i < j."""
+    return SignedGraph(n, [link(f"k{i}_{j}", i, j, -1 if (i, j) in negative else 1)
+                           for i in range(n) for j in range(i + 1, n)])
+
+
+K2 = "sg 1\nn 2\nedge a 1 2 +\n"
+K4 = "sg 1\nn 4\n" + "".join(f"edge e{u}{v} {u} {v} +\n" for u in range(1, 5) for v in range(u + 1, 5))
 
 
 K7_PAIRS = [(i, j) for i in range(7) for j in range(i + 1, 7)]
@@ -192,6 +213,13 @@ CASES = {
         ("stable-set cap exceeded (stable sets 32769 > 32768)",
          exits_1("chromatic", "sg 1\nn 16\n", "--algorithm", "expansion")),
     ],
+    "switching-isomorphism": [
+        ("switching-isomorphism cap exceeded (candidates 32769 > 32768)",
+         raised(switching_isomorphic, complete(8), complete(8, [(0, 1)]))),
+        # 257 line vertices: the map tries at least 1 + 2 + ... + 257 (v, w)
+        ("switching-isomorphism cap exceeded (candidates 32769 > 32768)",
+         exits_1("glinegraph", K2, "--m", "128,0", "--max-edges", "257")),
+    ],
     "root-system": [
         ("root-system cap exceeded (dimension 33 > 32)", raised(root_system, "A", 33)),
         ("root-system cap exceeded (dimension 33 > 32)",
@@ -200,6 +228,8 @@ CASES = {
     "input-edge": [
         ("input-edge cap exceeded (edges 65 > 64)",
          exits_1("info", "sg 1\nn 1\n" + "".join(f"half h{i} 1\n" for i in range(65)))),
+        ("input-edge cap exceeded (edges 65 > 64)", exits_1("glinegraph", K2, "--m", "32,0")),
+        ("input-edge cap exceeded (edges 33 > 32)", exits_1("glinegraph", K2, "--m", "0,16", "--max-edges", "32")),
         ("input-edge cap exceeded (edges 72 > 64)",
          exits_1_without_input("catalog", "--family", "pmkn", "--n", "9")),
         ("input-edge cap exceeded (edges 64 > 63)",
@@ -238,6 +268,10 @@ def test_inputs_at_the_caps_pass(tmp_path):
     assert sgtool(["info", str(path)]).returncode == 0
     for family, n in (("pmkn", 8), ("pmknfull", 8)):  # 56 and 64 edges
         assert sgtool(["catalog", "--family", family, "--n", str(n)]).returncode == 0
+    assert switching_isomorphic(complete(7), complete(7, [(0, 1)])) is None  # 25,130 (v, w)
+    path.write_text(K4)
+    r = sgtool(["glinegraph", str(path), "--m", "8,7,7,7"])  # 6 + 2 * 29 = 64 petal graph edges
+    assert r.returncode == 0 and r.stdout.endswith("identity: true\n")
 
 
 def within_a_second(fn, *args):
@@ -253,6 +287,9 @@ def test_routines_that_used_to_run_unbounded_stop_at_once():
     within_a_second(is_acyclic, orient(k10))
     digon = SignedGraph(8, [link(f"p{i}", i, i + 1, 1) for i in range(7)] + [link("m", 0, 1, -1)])
     within_a_second(region_witness_point, digon, orient(digon))
+    within_a_second(switching_isomorphic, complete(9), complete(9, [(0, 1)]))
+    # a recursive search ran out of frames here instead of reaching the cap
+    within_a_second(switching_isomorphic, SignedGraph(1500, []), SignedGraph(1500, []))
     within_a_second(SignedGraph, 10**11, [])
     within_a_second(parse, b"sg 1\nn 99999999999\n")
 
@@ -313,3 +350,24 @@ def test_catalog_all_negative_on_24_links_exits_at_the_closed_set_cap(tmp_path):
     r = sgtool(["catalog", str(path), "--family", "allnegative"])
     assert r.returncode == 1
     assert r.stderr == "error: closed-set cap exceeded (edges 24 > 16)\n"
+
+
+def test_a_negative_multiplicity_is_rejected(tmp_path):
+    with pytest.raises(SgError) as exc:
+        multigraph_with_petals(2, [(0, 1)], [0, -1])
+    assert str(exc.value) == "multiplicity must be an int >= 0, got -1"
+    assert exits_1("glinegraph", K2, "--m=-1,0")(tmp_path) == "multiplicity must be an int >= 0, got -1"
+
+
+def caps_table(doc):
+    """The Caps table of README.md or PAPER.md: cap name -> the first number in its limit."""
+    with open(os.path.join(ROOT, doc), encoding="utf-8") as fh:
+        section = fh.read().split("\n## Caps\n", 1)[1].split("\n## ", 1)[0]
+    rows = [line.split("|")[1:3] for line in section.splitlines() if line.startswith("| ")]
+    return {name.strip(): int(re.search(r"\d[\d,]*", limit).group().replace(",", ""))
+            for name, limit in rows[1:]}
+
+
+@pytest.mark.parametrize("doc", ["README.md", "PAPER.md"])
+def test_the_caps_tables_list_every_cap_with_its_limit(doc):
+    assert caps_table(doc) == {name: limit for name, (limit, _) in CAPS.items()}

@@ -1,5 +1,6 @@
 import ast
 import json
+import os
 import subprocess
 import sys
 
@@ -264,3 +265,15 @@ def test_oracles_load_only_when_an_oracle_is_asked_for():
         ["chromatic", SIGMA4, "--algorithm", "expansion"],
     ):
         assert loaded_after_each("signedgraph.oracles", [(argv[0], argv[1:])]) == [True], argv
+
+
+def test_a_closed_stdout_exits_1_without_a_traceback():
+    read, write = os.pipe()
+    os.close(read)  # as after `| head -c 50`: every write to stdout fails
+    try:
+        r = subprocess.run([sys.executable, "-m", "signedgraph.cli", "roots", "--name", "A", "--n", "30"],
+                           stdout=write, stderr=subprocess.PIPE, text=True, env=cli_env(), timeout=30)
+    finally:
+        os.close(write)
+    assert r.returncode == 1
+    assert r.stderr == ""

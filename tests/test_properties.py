@@ -67,8 +67,8 @@ from signedgraph import (
     switching_equivalent,
 )
 from signedgraph.coloring import _constraints
-from signedgraph.core import _UndoableUnionFind, _frame_edge, _potential, _signed_circles, delete_vertices
-from conftest import FIXTURES, balance_oracle
+from signedgraph.core import _UndoableUnionFind, _frame_edge, _potential, _signed_circles
+from conftest import FIXTURES, balance_oracle, delete_vertices
 
 PROPERTY = settings(
     derandomize=True,
