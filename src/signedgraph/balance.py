@@ -48,6 +48,7 @@ from .core import (
     _Record,
     _set,
     _signed_circles,
+    _switching_bfs,
 )
 
 
@@ -110,14 +111,12 @@ def switch(g: SignedGraph, zeta) -> SignedGraph:
 
 def _switched(g: SignedGraph, zeta) -> SignedGraph:
     """g switched by zeta, a list of +1 and -1 indexed by vertex."""
-    out = []
+    out = g._by_id.copy()
     for e in g.edges:
-        k = e.kind
-        if k is _LINK or k is _LOOP:
-            u, v = ends = e.ends
-            out.append(_edge(e.id, k, ends, zeta[u] * e.sign * zeta[v]))
-        else:
-            out.append(e)
+        if e.kind is _LINK:
+            u, v = e.ends
+            if zeta[u] != zeta[v]:
+                out[e.id] = _edge(e.id, _LINK, e.ends, -e.sign)
     return _graph(g.n, out)
 
 
@@ -134,31 +133,33 @@ def switching_equivalent(g1: SignedGraph, g2: SignedGraph):
     """A switching function zeta with g1^zeta == g2, or None.
 
     zeta is the switching potential of the common underlying graph signed
-    by sigma1(e) sigma2(e), verified as zeta(u) sigma1(e) zeta(v) = sigma2(e)
-    on every link and loop, matched by id: edge order and the order of a
-    link's ends do not matter.
+    by sigma1(e) sigma2(e), taken on an adjacency of its links
+    (`core._switching_bfs`) with edges matched by id: edge order and the
+    order of a link's ends do not matter.  It exists iff no link of that
+    graph is frustrated and every loop has one sign in both graphs.
     """
     by_id = g2._by_id
     if g1.n != g2.n or len(g1.edges) != len(g2.edges):
         raise SgError("graphs have different underlying graphs")
-    product = []
-    pairs = []  # (link or loop of g1, its sign in g2)
+    adj = [[] for _ in range(g1.n)]
+    differ = []  # the vertex of each loop whose sign differs, a negative loop of the product
     for e in g1.edges:
         f = by_id.get(e.id)
         ends = e.ends
         if f is None or e.kind is not f.kind or (ends != f.ends and ends != f.ends[::-1]):
             raise SgError("graphs have different underlying graphs")
-        if e.sign is None:
-            product.append(e)
-        else:
-            product.append(_edge(e.id, e.kind, ends, e.sign * f.sign))
-            pairs.append((e, f.sign))
-    zeta = _potential(_graph(g1.n, product))[0]
-    for e, sign2 in pairs:
-        u, v = e.ends
-        if zeta[u] * e.sign * zeta[v] != sign2:
-            return None
-    return dict(enumerate(zeta))
+        if e.kind is _LINK:
+            u, v = ends
+            if e.sign == f.sign:
+                adj[u].append(v)
+                adj[v].append(u)
+            else:
+                adj[u].append(~v)
+                adj[v].append(~u)
+        elif e.sign != f.sign:
+            differ.append(ends[0])
+    zeta, _, unbalanced = _switching_bfs(adj, differ)
+    return None if unbalanced else dict(enumerate(zeta))
 
 
 class _FrustrationCounts:
@@ -331,7 +332,7 @@ def min_balancing_set(g: SignedGraph) -> frozenset:
     largest link id, of two masks of equal size the greater holds the least
     element of their symmetric difference; per-component choices compose."""
     links = [e for e in g.edges if e.kind is _LINK]
-    zeta, root, unbalanced = _potential(_graph(g.n, links))
+    zeta, root, unbalanced = _potential(g, [e.id for e in links])
     out = [e.id for e in g.edges if e.kind is _HALF or (e.kind is _LOOP and e.sign < 0)]
     comps = {r: [] for r in sorted(unbalanced)}
     for e in links:

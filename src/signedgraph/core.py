@@ -9,6 +9,8 @@ The public constructors (`Edge`, `SignedGraph`, `link`/`loop`/`half`/`loose`,
 `with_edges`) validate everything.  `_edge` and `_graph` skip the checks and
 are only for data derived from a validated graph, or from a line that `parse`
 has already checked: minors, switchings, relabellings and the parser itself.
+A derived graph shares the edges it leaves unchanged, as edges are immutable.
+`_potential` finds the frustrated links in its one BFS, on int-coded links.
 Hot loops compare kinds with the module constants `_LINK`, `_LOOP`, `_HALF`
 and `_LOOSE`, which read faster than `EdgeKind` members.
 
@@ -239,25 +241,27 @@ class SignedGraph(_Record):
         return SignedGraph(self.n, tuple(edges))
 
 
+_set_id, _set_kind, _set_ends, _set_sign = (Edge.__dict__[f].__set__ for f in Edge.__slots__)
+
+
 def _edge(eid, kind, ends, sign=None):
-    """An Edge built without checks: only for data derived from a validated
-    graph or a line that `parse` has checked."""
+    """An Edge built without checks, by the slots' own setters: only for data
+    derived from a validated graph or a line that `parse` has checked."""
     e = _new(Edge)
-    _set(e, "id", eid)
-    _set(e, "kind", kind)
-    _set(e, "ends", ends)
-    _set(e, "sign", sign)
+    _set_id(e, eid)
+    _set_kind(e, kind)
+    _set_ends(e, ends)
+    _set_sign(e, sign)
     return e
 
 
-def _graph(n, edges):
-    """A SignedGraph built without checks, on a list of edges with distinct
-    ids and ends in range(n) (see `_edge`)."""
+def _graph(n, by_id):
+    """A SignedGraph built without checks, on a dict id -> edge in edge
+    order whose ends lie in range(n) (see `_edge`); the graph keeps the dict."""
     g = _new(SignedGraph)
-    edges = tuple(edges)
     _set(g, "n", n)
-    _set(g, "edges", edges)
-    _set(g, "_by_id", {e.id: e for e in edges})
+    _set(g, "edges", tuple(by_id.values()))
+    _set(g, "_by_id", by_id)
     return g
 
 
@@ -276,23 +280,23 @@ def parse(text) -> SignedGraph:
             raise SgError(f"line {lineno}: input is not valid UTF-8") from None
     lines = text.splitlines()
     n = None
-    edges = []
-    seen = set()
+    by_id = {}
     saw_magic = False
 
     def err(lineno, msg):
         raise SgError(f"line {lineno}: {msg}")
 
-    def check_id(eid):  # Edge's id check; eid is a str
-        if not _id_ok(eid):
+    def check_id(eid):  # Edge's id check: split() took the whitespace and the cut the "#"
+        if "," in eid:
             raise SgError(_BAD_ID.format(eid))
         return eid
 
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, line in enumerate(lines, start=1):
+        if "#" in line:
+            line = line.split("#", 1)[0]
         fields = line.split()
+        if not fields:
+            continue
         if not saw_magic:
             if fields != ["sg", "1"]:
                 err(lineno, "expected magic line 'sg 1'")
@@ -343,16 +347,15 @@ def parse(text) -> SignedGraph:
             e = _edge(check_id(fields[1]), _LOOSE, ())
         else:
             err(lineno, f"unknown directive {directive!r}")
-        if e.id in seen:
+        if e.id in by_id:
             err(lineno, f"duplicate edge id {e.id!r}")
-        seen.add(e.id)
-        edges.append(e)
+        by_id[e.id] = e
 
     if not saw_magic:
         raise SgError("line 1: expected magic line 'sg 1'")
     if n is None:
         raise SgError("missing 'n' directive")
-    return _graph(n, edges)
+    return _graph(n, by_id)
 
 
 def serialize(g: SignedGraph) -> bytes:
@@ -549,32 +552,49 @@ def _potential(g: SignedGraph, s=None):
     half edge or a link or loop e with zeta(u) sigma(e) zeta(v) = -1.  On a
     balanced component zeta is the unique such potential, whatever the tree.
     """
-    edges = g.edges if s is None else g.restricted(s)
     adj = [[] for _ in range(g.n)]
-    for e in edges:
-        if e.kind is _LINK:
+    fixed = []  # the vertex of each half edge and negative loop
+    for e in g.edges if s is None else g.restricted(s):
+        k = e.kind
+        if k is _LINK:
             u, v = e.ends
-            adj[u].append((v, e.sign))
-            adj[v].append((u, e.sign))
-    zeta = [0] * g.n
-    root = list(range(g.n))
-    for r in range(g.n):
+            if e.sign == 1:
+                adj[u].append(v)
+                adj[v].append(u)
+            else:
+                adj[u].append(~v)
+                adj[v].append(~u)
+        elif k is _HALF or (k is _LOOP and e.sign == -1):
+            fixed.append(e.ends[0])
+    return _switching_bfs(adj, fixed)
+
+
+def _switching_bfs(adj, fixed):
+    """`_potential` on an int-coded link adjacency: adj[v] holds w or ~w for a
+    positive or negative link from v to w, in edge order.  A frustrated link
+    shows when its later end is scanned; fixed's roots are unbalanced too."""
+    n = len(adj)
+    zeta = [0] * n
+    root = list(range(n))
+    unbalanced = set()
+    for r in range(n):
         if zeta[r]:
             continue
         zeta[r] = 1
         queue = [r]
         for v in queue:
-            for w, sign in adj[v]:
+            z = zeta[v]
+            for w in adj[v]:
+                want = z
+                if w < 0:
+                    w, want = ~w, -z
                 if not zeta[w]:
-                    zeta[w] = zeta[v] * sign
+                    zeta[w] = want
                     root[w] = r
                     queue.append(w)
-    unbalanced = set()
-    for e in edges:
-        if e.kind is _HALF:
-            unbalanced.add(root[e.ends[0]])
-        elif e.ends and zeta[e.ends[0]] * e.sign * zeta[e.ends[1]] == -1:
-            unbalanced.add(root[e.ends[0]])
+                elif zeta[w] != want:
+                    unbalanced.add(r)
+    unbalanced.update(root[v] for v in fixed)
     return zeta, root, unbalanced
 
 
@@ -589,23 +609,27 @@ def components(g: SignedGraph, s=None):
     return [tuple(vs) for vs in groups.values()]
 
 
-def _relabel(n, edges, vmap, zeta=None):
+def _relabel(n, edges, vmap, zeta):
     """The graph of order n on edges of a validated graph whose ends move by
     vmap (old vertex -> new vertex, or None to drop that end), switched by
-    zeta (old vertex -> +1 or -1) when it is given.  A link whose ends meet
-    becomes a loop; an ordinary or half edge that loses ends becomes a half
-    or loose edge."""
-    out = []
+    zeta (old vertex -> +1 or -1).  A link whose ends meet becomes a loop; an
+    ordinary or half edge that loses ends becomes a half or loose edge, and
+    a loose edge is kept as it is."""
+    out = {}
     for e in edges:
-        ends = tuple(vmap[v] for v in e.ends if vmap[v] is not None)
-        if len(ends) < len(e.ends):
-            out.append(_edge(e.id, _HALF if ends else _LOOSE, ends))
-            continue
-        kind = _LOOP if e.kind is _LINK and ends[0] == ends[1] else e.kind
-        sign = e.sign
-        if zeta is not None and sign is not None:
-            sign *= zeta[e.ends[0]] * zeta[e.ends[1]]
-        out.append(_edge(e.id, kind, ends, sign))
+        k = e.kind
+        if k is _LINK:
+            u, v = e.ends
+            a, b = vmap[u], vmap[v]
+            if a is None or b is None:
+                ends = tuple(x for x in (a, b) if x is not None)
+                e = _edge(e.id, _HALF if ends else _LOOSE, ends)
+            else:
+                e = _edge(e.id, _LINK if a != b else _LOOP, (a, b), zeta[u] * e.sign * zeta[v])
+        elif k is not _LOOSE:  # a loop or half edge, whose sign no switching changes
+            a = vmap[e.ends[0]]
+            e = _edge(e.id, _LOOSE, ()) if a is None else _edge(e.id, k, (a,) * len(e.ends), e.sign)
+        out[e.id] = e
     return _graph(n, out)
 
 

@@ -19,7 +19,7 @@ from .core import (
     CAPS, SignedGraph, _LOOSE, _Record, _UndoableUnionFind, _cap, _frame_edge, _link_adjacency, _potential, _set,
     _signed_circles,
 )
-from .balance import _negative_circles, balance_partition
+from .balance import _negative_circles
 
 
 class FrameCircuit(_Record):
@@ -181,8 +181,9 @@ def closed_sets(g: SignedGraph) -> ClosedSetLattice:
 
 
 def rank(g: SignedGraph, s=None) -> int:
-    """rk S = n - b(S)."""
-    return g.n - balance_partition(g, s).b
+    """rk S = n - b(S); b(S) counts the roots of S's potential less the unbalanced ones."""
+    _, root, unbalanced = _potential(g, s)
+    return g.n - len(set(root)) + len(unbalanced)
 
 
 def is_independent(g: SignedGraph, s) -> bool:

@@ -130,8 +130,9 @@ def multigraph_with_petals(n, edge_list, multiplicities):
     the digons negative."""
     if len(multiplicities) != n:
         raise SgError("need one multiplicity per vertex")
-    if any(m < 0 for m in multiplicities):
-        raise SgError(f"multiplicity must be an int >= 0, got {min(multiplicities)}")
+    for m in multiplicities:
+        if type(m) is not int or m < 0:  # bool is not int
+            raise SgError(f"multiplicity must be an int >= 0, got {m!r}")
     edges = [
         link(f"e{k + 1}", u, v, -1) for k, (u, v) in enumerate(edge_list)
     ]

@@ -96,10 +96,10 @@ def reduce(g: SignedGraph) -> SignedGraph:
             other = parallel.get((u, v, -1), ())
             k = min(len(ids), len(other))
             gone.update(ids[:k], other[:k])
-    return _graph(g.n, [
-        e for e in g.edges
+    return _graph(g.n, {
+        e.id: e for e in g.edges
         if not (e.id in gone or e.kind is _LOOSE or (e.kind is _LOOP and e.sign == 1))
-    ])
+    })
 
 
 def _to_fractions(m):

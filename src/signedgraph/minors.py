@@ -28,7 +28,7 @@ class MinorTrace(_Record):
 
 def delete_edges(g: SignedGraph, s) -> SignedGraph:
     s = frozenset(s)
-    kept = [e for e in g.edges if e.id not in s]
+    kept = {e.id: e for e in g.edges if e.id not in s}
     if len(kept) + len(s) != len(g.edges):
         g.restricted(s)  # some id of s is not in g: raises naming them
     return _graph(g.n, kept)

@@ -16,7 +16,7 @@ from itertools import combinations, permutations, product
 from operator import attrgetter
 
 from .core import (
-    SignedGraph, _LOOSE, _UndoableUnionFind, _cap, _frame_edge, edge_set_sign, enumerate_circles,
+    CAPS, SignedGraph, _LOOSE, _UndoableUnionFind, _cap, _frame_edge, edge_set_sign, enumerate_circles,
 )
 from .balance import is_balanced
 from .coloring import _constraints, _cap_depth, _delcon, is_proper, make_signed
@@ -75,13 +75,16 @@ def chromatic_via_expansion(g: SignedGraph) -> IntPolynomial:
     number in g - W and adds its links to kept lower vertices, so each
     stable W ends with the constraint state of chi*_{g - W}, and no graph is
     built.  Open branches wait on a list, not on the call stack, so any n
-    can be walked; the stable sets visited are capped.  Equal states are
+    can be walked; the stable sets visited are capped, first against the 2^f
+    that the f vertices in no constraint give alone.  Equal states are
     counted and each is expanded once, on one deletion-contraction memo."""
     cons = _constraints(g, False)
     if cons is None:
         return IntPolynomial.zero()
     _cap_depth(cons)
     n = g.n
+    if n - len({x for c in cons for x in c[:2]}) >= CAPS["stable-set"][0].bit_length():
+        _cap("stable-set", CAPS["stable-set"][0] + 1)
     lower = [[] for _ in range(n)]  # (u, sigma) for each link (u, v, sigma), at v
     barred = [False] * n  # vertices with a (v, v, 0), never in W
     for u, v, s in cons:

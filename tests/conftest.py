@@ -92,7 +92,7 @@ def delete_vertices(g, w):
     w = frozenset(w)
     keep = [v for v in range(g.n) if v not in w]
     relabel = {v: i for i, v in enumerate(keep)}
-    return _relabel(len(keep), (e for e in g.edges if w.isdisjoint(e.ends)), relabel)
+    return _relabel(len(keep), (e for e in g.edges if w.isdisjoint(e.ends)), relabel, [1] * g.n)
 
 
 def seeded(seed):

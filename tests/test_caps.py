@@ -359,6 +359,22 @@ def test_a_negative_multiplicity_is_rejected(tmp_path):
     assert exits_1("glinegraph", K2, "--m=-1,0")(tmp_path) == "multiplicity must be an int >= 0, got -1"
 
 
+@pytest.mark.parametrize("m, shown", [(1.5, "1.5"), (True, "True")])
+def test_a_multiplicity_that_is_not_an_int_is_rejected(m, shown):
+    with pytest.raises(SgError) as exc:
+        multigraph_with_petals(2, [(0, 1)], [m, 0])
+    assert str(exc.value) == f"multiplicity must be an int >= 0, got {shown}"
+
+
+def test_expansion_of_a_million_isolated_vertices_stops_at_the_stable_set_cap_within_a_second():
+    g = SignedGraph(10**6, [])
+    start = time.perf_counter()
+    with pytest.raises(SgError) as exc:
+        chromatic_via_expansion(g)
+    assert time.perf_counter() - start < 1.0
+    assert str(exc.value) == "stable-set cap exceeded (stable sets 32769 > 32768)"
+
+
 def caps_table(doc):
     """The Caps table of README.md or PAPER.md: cap name -> the first number in its limit."""
     with open(os.path.join(ROOT, doc), encoding="utf-8") as fh:

@@ -2,7 +2,9 @@
 graphs of all four edge kinds, the text format round-trips, a mutated
 fixture file parses to SgError or to a graph that round-trips, graphs built
 without checks (parse, switchings, minors) are the graphs the public
-constructors build, switching changes no switching invariant, every
+constructors build, switching changes no switching invariant and
+switching equivalence is the search over all switchings, contraction
+takes rank(S) off every rank, every
 reading of the edge vector and of the signed circles agrees with its
 definition, closure obeys the closure axioms, and each walk over edge
 subsets on the undoable union-find equals its per-subset recomputation.
@@ -339,6 +341,56 @@ def test_switching_invariants(data, g):
     assert classify_balancing_edges(h) == classify_balancing_edges(g)
     assert chromatic_poly_delcon(h) == chromatic_poly_delcon(g)
     assert switching_equivalent(contract_set(g, s)[0], contract_set(h, s)[0]) is not None
+
+
+def as_unordered(g):
+    """g up to edge order and the order of a link's ends."""
+    return g.n, {e.id: (e.kind, frozenset(e.ends), e.sign) for e in g.edges}
+
+
+@PROPERTY
+@given(st.data(), graphs(n_max=5, m_max=8))
+def test_switching_equivalent_is_the_search_over_all_switchings(data, g):
+    """h is g switched, with its edges reordered and some links' ends swapped,
+    and maybe one sign flipped afterwards."""
+    draw = data.draw
+    edges = list(switch_set(g, subset(draw, range(g.n))).edges)
+    flip = draw(st.sampled_from([None] + [e.id for e in edges if e.is_ordinary]))
+    edges = [Edge(e.id, e.kind, e.ends[::-1] if draw(st.booleans()) else e.ends,
+                  -e.sign if e.id == flip else e.sign) for e in draw(st.permutations(edges))]
+    h = SignedGraph(g.n, edges)
+    target = as_unordered(h)
+    found = any(as_unordered(switch(g, zeta)) == target for zeta in product((1, -1), repeat=g.n))
+    zeta = switching_equivalent(g, h)
+    assert (zeta is not None) == found
+    if found:
+        assert as_unordered(switch(g, zeta)) == target
+
+
+@PROPERTY
+@given(st.data(), graphs(n_max=5, m_max=10))
+def test_contracting_s_takes_rank_s_off_every_rank(data, g):
+    """rank_{G/S}(T) = rank(T + S) - rank(S) for T outside S."""
+    draw = data.draw
+    s = frozenset(subset(draw, [e.id for e in g.edges]))
+    t = frozenset(subset(draw, [e.id for e in g.edges if e.id not in s]))
+    contracted, _ = contract_set(g, s)
+    assert rank(contracted, t) == rank(g, t | s) - rank(g, s)
+
+
+@PROPERTY
+@given(st.data(), graphs(n_max=6, m_max=10))
+def test_rank_is_n_less_the_balanced_components(data, g):
+    s = subset(data.draw, [e.id for e in g.edges])
+    assert rank(g, s) == g.n - balance_partition(g, s).b
+    assert rank(g) == g.n - balance_partition(g).b
+
+
+@PROPERTY
+@given(st.data(), graphs(n_max=6, m_max=10))
+def test_switching_a_vertex_set_twice_gives_the_graph_back(data, g):
+    x = subset(data.draw, range(g.n))
+    assert switch_set(switch_set(g, x), x) == g
 
 
 @PROPERTY
