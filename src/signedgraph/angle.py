@@ -12,7 +12,7 @@ import math
 from fractions import Fraction
 from itertools import product
 
-from .core import SgError, SignedGraph, _LINK, _Record, _cap, _set
+from .core import SgError, SignedGraph, _LINK, _Record, _cap
 from .matrices import adjacency_matrix
 
 TOL = 1e-8  # verify_representation's tolerance for float vectors
@@ -22,11 +22,6 @@ MODES = ("gramian", "antigramian", "angleonly")
 
 class RootSystem(_Record):
     __slots__ = ("name", "n", "vectors")  # vectors: tuples of Fraction
-
-    def __init__(self, name, n, vectors):
-        _set(self, "name", name)
-        _set(self, "n", n)
-        _set(self, "vectors", vectors)
 
     def __len__(self):
         return len(self.vectors)
@@ -67,14 +62,11 @@ def root_system(name, n=None) -> RootSystem:
             for j in range(i + 1, dim):
                 for si, sj in product((1, -1), repeat=2):
                     vs.add(_add(_e(dim, i, si), _e(dim, j, sj)))
-        if name == "B":
+        if name in ("B", "C"):  # B adds the short roots +-e_i, C the long roots +-2e_i
+            c = 1 if name == "B" else 2
             for i in range(n):
-                vs.add(_e(n, i, 1))
-                vs.add(_e(n, i, -1))
-        elif name == "C":
-            for i in range(n):
-                vs.add(_e(n, i, 2))
-                vs.add(_e(n, i, -2))
+                vs.add(_e(n, i, c))
+                vs.add(_e(n, i, -c))
         elif name == "E8":
             half = Fraction(1, 2)
             for signs in product((1, -1), repeat=8):
@@ -102,9 +94,7 @@ class AngleRepresentation(_Record):
         dims = {len(v) for v in rho}
         if len(dims) > 1:
             raise SgError("representation vectors have mixed dimensions")
-        _set(self, "rho", rho)
-        _set(self, "nu", nu)
-        _set(self, "mode", mode)
+        super().__init__(rho, nu, mode)
 
     @property
     def dimension(self):

@@ -42,11 +42,12 @@ from .core import (
     _dfs,
     _edge,
     _graph,
+    _groups,
     _link_adjacency,
     _cap,
+    _negative_circles,
     _potential,
     _Record,
-    _set,
     _signed_circles,
     _switching_bfs,
 )
@@ -57,10 +58,6 @@ class BalancePartition(_Record):
 
     __slots__ = ("pib", "v0")  # pib: tuple of sorted vertex tuples
 
-    def __init__(self, pib, v0):
-        _set(self, "pib", pib)
-        _set(self, "v0", v0)
-
     @property
     def b(self):
         return len(self.pib)
@@ -70,16 +67,14 @@ def balance_partition(g: SignedGraph, s=None) -> BalancePartition:
     """Classify each component of (V, s) as balanced or not, from the
     switching potential of s.  Isolated vertices are balanced components."""
     _, root, unbalanced = _potential(g, s)
-    comps = {}
-    for v in range(g.n):
-        comps.setdefault(root[v], []).append(v)
-    pib = tuple(tuple(vs) for r, vs in comps.items() if r not in unbalanced)
-    v0 = frozenset(v for v in range(g.n) if root[v] in unbalanced)
+    groups = _groups(root)
+    pib = tuple(tuple(vs) for vs in groups if vs[0] not in unbalanced)
+    v0 = frozenset(v for vs in groups if vs[0] in unbalanced for v in vs)
     return BalancePartition(pib, v0)
 
 
 def is_balanced(g: SignedGraph, s=None) -> bool:
-    return not balance_partition(g, s).v0
+    return not _potential(g, s)[2]
 
 
 def harary_bipartition(g: SignedGraph):
@@ -162,23 +157,24 @@ def switching_equivalent(g1: SignedGraph, g2: SignedGraph):
     return None if unbalanced else dict(enumerate(zeta))
 
 
-class _FrustrationCounts:
+class _FrustrationCounts(_Record):
     """Counts from one DFS per component (`_frustration_counts`), per vertex
     v.  subtree(v) is v's DFS subtree; a back link leaves subtree(v) when its
     lower end is inside and its upper end above v."""
 
-    def __init__(self, root, parent, child, frustrated, fixed, low_fr, below_fr, cross, cross_fr, up, up_fr):
-        self.root = root  # lowest vertex of v's component
-        self.parent = parent  # v's parent vertex, None at a root
-        self.child = child  # tree link id -> its lower end
-        self.frustrated = frustrated  # ids of the frustrated elements
-        self.fixed = fixed  # half edges and negative loops at v
-        self.low_fr = low_fr  # frustrated back links whose lower end is v
-        self.below_fr = below_fr  # frustrated elements counted at a vertex of subtree(v)
-        self.cross = cross  # back links leaving subtree(v)
-        self.cross_fr = cross_fr  # frustrated back links leaving subtree(v)
-        self.up = up  # back links leaving subtree(v) that end at v's parent
-        self.up_fr = up_fr  # frustrated ones among them
+    __slots__ = (
+        "root",  # lowest vertex of v's component
+        "parent",  # v's parent vertex, None at a root
+        "child",  # tree link id -> its lower end
+        "frustrated",  # ids of the frustrated elements
+        "fixed",  # half edges and negative loops at v
+        "low_fr",  # frustrated back links whose lower end is v
+        "below_fr",  # frustrated elements counted at a vertex of subtree(v)
+        "cross",  # back links leaving subtree(v)
+        "cross_fr",  # frustrated back links leaving subtree(v)
+        "up",  # back links leaving subtree(v) that end at v's parent
+        "up_fr",  # frustrated ones among them
+    )
 
     def unbalanced(self):
         """Roots of the components with a frustrated element."""
@@ -358,14 +354,6 @@ def min_balancing_set(g: SignedGraph) -> frozenset:
                 best, best_size = mask, size
         out += [eid for eid in ids if best & bit[eid]]
     return frozenset(out)
-
-
-def _negative_circles(edges, signed_circles):
-    """(edge ids, vertex set) of each negative circle among signed_circles
-    (see `core._signed_circles`), then of each half edge of edges."""
-    out = [(c, verts) for c, verts, sign in signed_circles if sign == -1]
-    out += [(frozenset([e.id]), frozenset(e.ends)) for e in edges if e.kind is _HALF]
-    return out
 
 
 def has_two_disjoint_negative_circles(g: SignedGraph) -> bool:

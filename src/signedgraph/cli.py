@@ -159,17 +159,10 @@ def cmd_contract(g, args):
 
     result, trace = contract_set(g, _edge_list_arg(args.edges))
     out, line = _graph_text(result)
-    vmap = {
-        str(v + 1): (None if w is None else w + 1) for v, w in trace.vertex_map.items()
-    }
-    lines = [line]
-    lines.append(
-        "vertex-map: "
-        + ", ".join(
-            f"{k}->{'gone' if v is None else v}" for k, v in sorted(vmap.items(), key=lambda kv: int(kv[0]))
-        )
-    )
-    return {"graph_text": out, "vertex_map": vmap}, lines
+    # the map lists the old vertices in order, and JSON sorts its keys
+    vmap = {str(v + 1): (None if w is None else w + 1) for v, w in trace.vertex_map.items()}
+    arrows = ", ".join(f"{k}->{'gone' if w is None else w}" for k, w in vmap.items())
+    return {"graph_text": out, "vertex_map": vmap}, [line, f"vertex-map: {arrows}"]
 
 
 def cmd_frame_circuits(g, args):

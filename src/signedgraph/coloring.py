@@ -375,9 +375,4 @@ def color_pair_capacity(n, edge_list) -> int:
 
 def complement_edges(n, edge_list):
     present = {tuple(sorted(e)) for e in edge_list}
-    return [
-        (i, j)
-        for i in range(n)
-        for j in range(i + 1, n)
-        if (i, j) not in present
-    ]
+    return [e for e in complete_graph_edges(n) if e not in present]

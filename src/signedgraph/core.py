@@ -14,6 +14,10 @@ A derived graph shares the edges it leaves unchanged, as edges are immutable.
 Hot loops compare kinds with the module constants `_LINK`, `_LOOP`, `_HALF`
 and `_LOOSE`, which read faster than `EdgeKind` members.
 
+Every record of the library is a `_Record`, and its fields are set only by
+the one constructor `_Record.__init__`, except in `Edge` and `SignedGraph`,
+which set their own slots here (see `_Record`).
+
 `_UndoableUnionFind` is the library's one union-find.  The walks over edge
 subsets (`oracles.chromatic_poly_subset`, `frame.closed_sets`,
 `matrices.matrix_tree`) add and undo one edge per step on it, at O(log n)
@@ -79,27 +83,57 @@ class EdgeKind(Enum):
 _LINK, _LOOP, _HALF, _LOOSE = EdgeKind.LINK, EdgeKind.LOOP, EdgeKind.HALF, EdgeKind.LOOSE
 
 
-# A record's __init__ sets its fields with _set; _new makes an instance
-# without running __init__ (see `_edge`).
+# _new makes an instance without running __init__, and _set sets one of its
+# slots (see `_edge` and `_graph`); only this module sets a record's slots.
 _new = object.__new__
 _set = object.__setattr__
 
 
 class _Record:
-    """Base of the library's immutable records.
+    """Base of the library's immutable records, and their one constructor.
 
     A subclass names its fields in `__slots__`, in constructor order (a slot
-    whose name starts with "_" is not a field), and sets them in its own
-    `__init__` with `_set`.  Fields cannot be reassigned or deleted.  Two
-    records are equal when they are of the same class and their field tuples
-    are equal, and a record hashes as its field tuple."""
+    whose name starts with "_" is not a field), and the defaults of trailing
+    fields in `_defaults`.  `__init__` takes the fields by position or keyword
+    and, as a signature does, raises TypeError on a missing, unknown or doubly
+    given one.  A record that checks its arguments calls it after the checks.
+    Only `Edge` and `SignedGraph` set their own slots: an edge is built once
+    per edge, and a graph also keeps an id index, which is not a field.
+
+    Fields cannot be reassigned or deleted.  Two records are equal when they
+    are of the same class and their field tuples are equal, and a record
+    hashes as its field tuple."""
 
     __slots__ = ()
+    _defaults = {}  # field -> default value
 
     def __init_subclass__(cls):
         cls._fields = fields = tuple(f for f in cls.__slots__ if f[0] != "_")
+        cls._setters = tuple(cls.__dict__[f].__set__ for f in fields)  # faster than _set by name
+        cls._tail = tuple(cls._defaults[f] for f in fields[len(fields) - len(cls._defaults):])
         get = attrgetter(*fields)
         cls._key = staticmethod(get if len(fields) > 1 else lambda r: (get(r),))
+
+    def __init__(self, *args, **kwargs):
+        setters = self._setters
+        if kwargs or len(args) != len(setters):
+            args = self._bind(args, kwargs)
+        for put, value in zip(setters, args):
+            put(self, value)
+
+    @classmethod
+    def _bind(cls, args, kwargs):
+        """One value per field, from args, then kwargs, then `_defaults`."""
+        name, fields = cls.__qualname__, cls._fields
+        if not kwargs and len(fields) - len(cls._tail) <= len(args) < len(fields):
+            return args + cls._tail[len(args) - len(fields):]
+        if len(args) > len(fields) or not kwargs.keys() <= set(fields[len(args):]):
+            raise TypeError(f"{name}() takes each of {fields} once, got {len(args)} by position and {sorted(kwargs)}")
+        values = {**cls._defaults, **kwargs}
+        values.update(zip(fields, args))
+        if len(values) < len(fields):  # every key is a field now
+            raise TypeError(f"{name}() missing fields {[f for f in fields if f not in values]}")
+        return [values[f] for f in fields]
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -233,15 +267,17 @@ class SignedGraph(_Record):
         return tuple(e for e in self.edges if e.id in s)
 
     def degree(self, v):
-        if not 0 <= v < self.n:
-            raise SgError(f"vertex {v} out of range")
+        """The number of edge ends at v: a loop counts 2 and a half edge 1.
+        `matrices.degree_matrix` counts a half edge 2, as L = H H^T needs."""
+        if type(v) is not int or not 0 <= v < self.n:  # bool is not int
+            raise SgError(f"vertex {v!r} out of range")
         return sum(e.ends.count(v) for e in self.edges)
 
     def with_edges(self, edges):
         return SignedGraph(self.n, tuple(edges))
 
 
-_set_id, _set_kind, _set_ends, _set_sign = (Edge.__dict__[f].__set__ for f in Edge.__slots__)
+_set_id, _set_kind, _set_ends, _set_sign = Edge._setters
 
 
 def _edge(eid, kind, ends, sign=None):
@@ -603,10 +639,16 @@ def components(g: SignedGraph, s=None):
     Loose edges do not connect anything and are not components; isolated
     vertices are."""
     _, root, _ = _potential(g, s)
+    return [tuple(vs) for vs in _groups(root)]
+
+
+def _groups(root):
+    """The vertices grouped by root[v] as `_potential` gives it, as lists in
+    vertex order, by lowest vertex: a group's first vertex is its root."""
     groups = {}
-    for v in range(g.n):
-        groups.setdefault(root[v], []).append(v)
-    return [tuple(vs) for vs in groups.values()]
+    for v, r in enumerate(root):
+        groups.setdefault(r, []).append(v)
+    return groups.values()
 
 
 def _relabel(n, edges, vmap, zeta):
@@ -681,6 +723,14 @@ def _signed_circles(n, edges):
         walk(start, start, frozenset([start]), [], 1)
     for c in sorted(found, key=lambda c: tuple(sorted(c))):
         yield (c, *found[c])
+
+
+def _negative_circles(edges, signed_circles):
+    """(edge ids, vertex set) of each negative circle among signed_circles
+    (see `_signed_circles`), then of each half edge of edges."""
+    out = [(c, verts) for c, verts, sign in signed_circles if sign == -1]
+    out += [(frozenset([e.id]), frozenset(e.ends)) for e in edges if e.kind is _HALF]
+    return out
 
 
 def enumerate_circles(g: SignedGraph, s=None):

@@ -16,10 +16,9 @@ from itertools import combinations
 from operator import attrgetter
 
 from .core import (
-    CAPS, SignedGraph, _LOOSE, _Record, _UndoableUnionFind, _cap, _frame_edge, _link_adjacency, _potential, _set,
-    _signed_circles,
+    CAPS, SignedGraph, _LOOSE, _Record, _UndoableUnionFind, _cap, _frame_edge, _link_adjacency, _negative_circles,
+    _potential, _signed_circles,
 )
-from .balance import _negative_circles
 
 
 class FrameCircuit(_Record):
@@ -30,11 +29,7 @@ class FrameCircuit(_Record):
 
     # kind: "positive_circle" | "loose_edge" | "tight_handcuff" | "loose_handcuff"
     __slots__ = ("kind", "circles", "path")
-
-    def __init__(self, kind, circles, path=frozenset()):
-        _set(self, "kind", kind)
-        _set(self, "circles", circles)
-        _set(self, "path", path)
+    _defaults = {"path": frozenset()}
 
     @property
     def edge_set(self):
@@ -127,9 +122,6 @@ class ClosedSetLattice(_Record):
     """All closed edge sets of a graph, ordered by inclusion."""
 
     __slots__ = ("elements",)  # frozensets, sorted canonically
-
-    def __init__(self, elements):
-        _set(self, "elements", elements)
 
     def __len__(self):
         return len(self.elements)

@@ -10,7 +10,7 @@ factors a partial map forces live on `core._UndoableUnionFind`.
 
 from __future__ import annotations
 
-from .core import Edge, SgError, SignedGraph, _LINK, _LOOP, _Record, _UndoableUnionFind, _cap, _set, link
+from .core import Edge, SgError, SignedGraph, _LINK, _LOOP, _Record, _UndoableUnionFind, _cap, link
 from .matrices import adjacency_matrix, reduce as reduce_graph
 from .orientation import BidirectedGraph, orient
 
@@ -20,11 +20,6 @@ class LineGraphResult(_Record):
     (line vertex i is the source edge vertex_labels[i])."""
 
     __slots__ = ("graph", "bidirected", "vertex_labels")
-
-    def __init__(self, graph, bidirected, vertex_labels):
-        _set(self, "graph", graph)
-        _set(self, "bidirected", bidirected)
-        _set(self, "vertex_labels", vertex_labels)
 
 
 def _as_bidirected(g) -> BidirectedGraph:
@@ -71,11 +66,7 @@ def line_graph(g) -> LineGraphResult:
 def reduced_line_graph(g) -> LineGraphResult:
     """Line graph with +/- parallel pairs cancelled (same adjacency matrix)."""
     res = line_graph(g)
-    reduced = reduce_graph(res.graph)
-    tau = {
-        k: v for k, v in res.bidirected.tau.items() if reduced.has_edge(k[0])
-    }
-    return LineGraphResult(reduced, BidirectedGraph(reduced, tau), res.vertex_labels)
+    return _with_line_graph(res, reduce_graph(res.graph))
 
 
 def line_adjacency_identity(g):
@@ -105,9 +96,14 @@ def harary_norman(g) -> LineGraphResult:
     A pair of ends at v is head-to-tail when tau(v,e) = -tau(v,f), which is
     the sign +1 case of the line edge."""
     res = line_graph(g)
-    kept = res.graph.with_edges(e for e in res.graph.edges if e.sign == 1)
-    tau = {k: v for k, v in res.bidirected.tau.items() if kept.has_edge(k[0])}
-    return LineGraphResult(kept, BidirectedGraph(kept, tau), res.vertex_labels)
+    return _with_line_graph(res, res.graph.with_edges(e for e in res.graph.edges if e.sign == 1))
+
+
+def _with_line_graph(res, graph) -> LineGraphResult:
+    """res with its line graph replaced by graph, a subgraph of it on the same
+    vertices, and the orientation cut to graph's edges."""
+    tau = {k: v for k, v in res.bidirected.tau.items() if graph.has_edge(k[0])}
+    return LineGraphResult(graph, BidirectedGraph(graph, tau), res.vertex_labels)
 
 
 def negate(g: SignedGraph) -> SignedGraph:

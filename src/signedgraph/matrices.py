@@ -17,7 +17,7 @@ from operator import attrgetter
 
 from .core import (
     SgError, SignedGraph, _HALF, _LINK, _LOOP, _LOOSE, _Record, _UndoableUnionFind, _cap, _edge_vector, _frame_edge,
-    _graph, _set,
+    _graph,
 )
 
 
@@ -50,7 +50,8 @@ def adjacency_matrix(g: SignedGraph):
 
 
 def degree_matrix(g: SignedGraph):
-    """Diagonal matrix with links counting once, loops and half edges twice.
+    """Diagonal matrix of the edge ends at each vertex (`SignedGraph.degree`),
+    with each half edge counted twice, as loops are.
 
     The half-edge weight of 2 is forced by L = D - A = H H^T: a half-edge
     column contributes 1 to the Laplacian diagonal while the adjacency
@@ -60,13 +61,10 @@ def degree_matrix(g: SignedGraph):
     _cap("dense-matrix", g.n)
     diag = [0] * g.n
     for e in g.edges:
-        if e.kind is _LINK:
-            for v in e.ends:
-                diag[v] += 1
-        elif e.kind is _LOOP:
-            diag[e.ends[0]] += 2
-        elif e.kind is _HALF:
-            diag[e.ends[0]] += 2
+        for v in e.ends:
+            diag[v] += 1
+        if e.kind is _HALF:
+            diag[e.ends[0]] += 1
     return [
         [diag[v] if v == w else 0 for w in range(g.n)] for v in range(g.n)
     ]
@@ -102,15 +100,11 @@ def reduce(g: SignedGraph) -> SignedGraph:
     })
 
 
-def _to_fractions(m):
-    from fractions import Fraction  # here, so that the integer matrices load no fractions
-
-    return [[Fraction(x) for x in row] for row in m]
-
-
 def rational_rank(m) -> int:
     """Exact rank by Gaussian elimination over the rationals."""
-    m = _to_fractions(m)
+    from fractions import Fraction  # here, so that the integer matrices load no fractions
+
+    m = [[Fraction(x) for x in row] for row in m]
     if not m or not m[0]:
         return 0
     rows, cols = len(m), len(m[0])
@@ -173,11 +167,6 @@ def incidence_columns(g: SignedGraph, s):
 
 class MatrixTreeReport(_Record):
     __slots__ = ("det_laplacian", "circle_counts", "weighted_sum")  # circle_counts: b_i for i = 0..n
-
-    def __init__(self, det_laplacian, circle_counts, weighted_sum):
-        _set(self, "det_laplacian", det_laplacian)
-        _set(self, "circle_counts", circle_counts)
-        _set(self, "weighted_sum", weighted_sum)
 
     @property
     def consistent(self):

@@ -9,7 +9,7 @@ Contracting a single edge e is contracting the set {e}.
 
 from __future__ import annotations
 
-from .core import SignedGraph, _Record, _graph, _potential, _relabel, _set
+from .core import SignedGraph, _Record, _graph, _potential, _relabel
 
 
 class MinorTrace(_Record):
@@ -19,11 +19,6 @@ class MinorTrace(_Record):
     (deleted with an unbalanced component or an unbalanced edge)."""
 
     __slots__ = ("deleted", "contracted", "vertex_map")
-
-    def __init__(self, deleted, contracted, vertex_map):
-        _set(self, "deleted", deleted)
-        _set(self, "contracted", contracted)
-        _set(self, "vertex_map", vertex_map)
 
 
 def delete_edges(g: SignedGraph, s) -> SignedGraph:

@@ -7,7 +7,7 @@ computed by deletion-contraction; the region count is (-1)^n p(-1).
 
 from __future__ import annotations
 
-from .core import SgError, SignedGraph, _LOOP, _LOOSE, _Record, _cap, _edge_vector, _set
+from .core import SgError, SignedGraph, _LOOP, _LOOSE, _Record, _cap, _edge_vector
 
 
 class BidirectedGraph(_Record):
@@ -26,8 +26,7 @@ class BidirectedGraph(_Record):
             if e.is_ordinary:
                 if -tau[(e.id, 0)] * tau[(e.id, 1)] != e.sign:
                     raise SgError(f"tau inconsistent with sign on edge {e.id!r}")
-        _set(self, "graph", graph)
-        _set(self, "tau", tau)
+        super().__init__(graph, tau)
 
     def eta(self, v, eid):
         """Net incidence: sum of tau over the ends of eid at v."""
@@ -115,13 +114,7 @@ class Hyperplane(_Record):
     """x_j = sign * x_i (difference), x_i = 0 (coordinate), or 0 = 0."""
 
     __slots__ = ("kind", "edge_id", "i", "j", "sign")  # kind: "difference" | "coordinate" | "degenerate"
-
-    def __init__(self, kind, edge_id, i=-1, j=-1, sign=0):
-        _set(self, "kind", kind)
-        _set(self, "edge_id", edge_id)
-        _set(self, "i", i)
-        _set(self, "j", j)
-        _set(self, "sign", sign)
+    _defaults = {"i": -1, "j": -1, "sign": 0}
 
     def equation(self):
         if self.kind == "difference":
@@ -161,12 +154,7 @@ def characteristic_polynomial(g: SignedGraph):
 
 class RegionReport(_Record):
     __slots__ = ("region_count", "char_poly", "acyclic_count", "sign_vector_regions")
-
-    def __init__(self, region_count, char_poly, acyclic_count=None, sign_vector_regions=None):
-        _set(self, "region_count", region_count)
-        _set(self, "char_poly", char_poly)
-        _set(self, "acyclic_count", acyclic_count)
-        _set(self, "sign_vector_regions", sign_vector_regions)
+    _defaults = {"acyclic_count": None, "sign_vector_regions": None}
 
 
 def region_count(g: SignedGraph, oracle=False, count_acyclic=False) -> RegionReport:
@@ -175,12 +163,11 @@ def region_count(g: SignedGraph, oracle=False, count_acyclic=False) -> RegionRep
     positive loop) is present.  oracle and count_acyclic add the sign-vector
     and acyclic-orientation counts."""
     poly = characteristic_polynomial(g)
-    sv = None
-    ac = None
+    counts = {}  # the optional fields, which default to None
     if oracle and not poly.is_zero():
         from .oracles import count_regions_by_sign_vectors
 
-        sv = count_regions_by_sign_vectors(g)
+        counts["sign_vector_regions"] = count_regions_by_sign_vectors(g)
     if count_acyclic:
-        ac = enumerate_acyclic(g)
-    return RegionReport((-1) ** g.n * poly(-1), poly, ac, sv)
+        counts["acyclic_count"] = enumerate_acyclic(g)
+    return RegionReport((-1) ** g.n * poly(-1), poly, **counts)

@@ -24,6 +24,9 @@ class IntPolynomial:
     def __setattr__(self, *_):
         raise AttributeError("IntPolynomial is immutable")
 
+    def __reduce__(self):  # copy and pickle rebuild through __init__, not __setattr__
+        return IntPolynomial, (self.coeffs,)
+
     # construction ---------------------------------------------------------
 
     @classmethod
@@ -123,11 +126,8 @@ class IntPolynomial:
     # comparison / hashing -------------------------------------------------
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = IntPolynomial((other,))
-        if not isinstance(other, IntPolynomial):
-            return NotImplemented
-        return self.coeffs == other.coeffs
+        other = self._coerce(other)
+        return other if other is NotImplemented else self.coeffs == other.coeffs
 
     def __hash__(self):
         return hash(self.coeffs)

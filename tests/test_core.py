@@ -1,5 +1,7 @@
 import copy
 import pickle
+import re
+import sys
 
 import pytest
 
@@ -11,6 +13,8 @@ from signedgraph import (
     SignedGraph,
     circle_sign,
     components,
+    degree_matrix,
+    edge_set_sign,
     enumerate_circles,
     fundamental_system,
     half,
@@ -124,6 +128,61 @@ def test_parse_raises_only_sgerror():
         parse("sg 1\nn ²\n")
     with pytest.raises(SgError, match="line 3: input is not valid UTF-8"):
         parse(b"sg 1\nn 2\nedge \xff 1 2 +\n")
+
+
+def _huge_n_message():
+    """A 5,000-digit order is more digits than int() converts where the
+    interpreter limits them (3.11, and 3.10 from 3.10.7); elsewhere it
+    converts and exceeds the input-vertex cap."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    return "line 2: expected 'n <order>'" if 0 < limit < 5000 else "input-vertex cap exceeded"
+
+
+_TWO = parse("sg 1\nn 2\nedge a 1 2 -\nhalf h 1\n")
+
+# (case, call, start of the SgError message): one raise site each
+ERROR_PATHS = [
+    ("second n", lambda: parse("sg 1\nn 2\nn 3\n"), "line 3: duplicate 'n' directive"),
+    ("half, one field", lambda: parse("sg 1\nn 2\nhalf h\n"), "line 3: expected 'half <id> <v>'"),
+    ("half, three fields", lambda: parse("sg 1\nn 2\nhalf h 1 2\n"), "line 3: expected 'half <id> <v>'"),
+    ("half, vertex not an int", lambda: parse("sg 1\nn 2\nhalf h x\n"),
+     "line 3: vertex index must be an integer"),
+    ("half, vertex 0", lambda: parse("sg 1\nn 2\nhalf h 0\n"),
+     "line 3: vertex index out of range in half edge 'h'"),
+    ("half, vertex n + 1", lambda: parse("sg 1\nn 2\n\nhalf h 3\n"),
+     "line 4: vertex index out of range in half edge 'h'"),
+    ("loose, no id", lambda: parse("sg 1\nn 2\nloose\n"), "line 3: expected 'loose <id>'"),
+    ("loose, two ids", lambda: parse("sg 1\nn 2\nloose a b\n"), "line 3: expected 'loose <id>'"),
+    ("duplicate id in a file", lambda: parse("sg 1\nn 2\nedge a 1 2 +\nloose a\n"),
+     "line 4: duplicate edge id 'a'"),
+    ("empty input", lambda: parse(""), "line 1: expected magic line 'sg 1'"),
+    ("no n line", lambda: parse("sg 1\n# only a comment\n"), "missing 'n' directive"),
+    ("5,000-digit n", lambda: parse("sg 1\nn " + "9" * 5000 + "\n"), _huge_n_message()),
+    ("loop with two ends", lambda: Edge("l", EdgeKind.LOOP, (0, 1), 1), "loop 'l' needs two equal endpoints"),
+    ("loop with one end", lambda: Edge("l", EdgeKind.LOOP, (0,), 1), "loop 'l' needs two equal endpoints"),
+    ("half edge with two ends", lambda: Edge("h", EdgeKind.HALF, (0, 1)), "half edge 'h' needs one endpoint"),
+    ("half edge with no end", lambda: Edge("h", EdgeKind.HALF, ()), "half edge 'h' needs one endpoint"),
+    ("edge lookup", lambda: _TWO.edge("zz"), "unknown edge id 'zz'"),
+    ("restricted", lambda: _TWO.restricted({"a", "zz", "yy"}), "unknown edge ids ['yy', 'zz']"),
+    ("sign of a half edge", lambda: edge_set_sign(_TWO, {"a", "h"}), "edge 'h' (half) has no sign"),
+]
+
+
+@pytest.mark.parametrize("case, call, message", ERROR_PATHS, ids=[c[0] for c in ERROR_PATHS])
+def test_error_paths_raise_sgerror_naming_their_line(case, call, message):
+    with pytest.raises(SgError, match="^" + re.escape(message)):
+        call()
+
+
+def test_degree_counts_edge_ends_and_checks_its_vertex():
+    # a link plus a half edge at vertex 0: two edge ends there, while the
+    # degree matrix counts the half edge twice, as L = H H^T needs
+    g = SignedGraph(2, [link("a", 0, 1, 1), half("h", 0)])
+    assert g.degree(0) == 2 and degree_matrix(g)[0][0] == 3
+    assert SignedGraph(1, [loop("l", 0, -1)]).degree(0) == 2
+    for v in ("a", True, 0.0, None, -1, 2):
+        with pytest.raises(SgError, match=re.escape(f"vertex {v!r} out of range")):
+            g.degree(v)
 
 
 def test_parse_comments_and_loops():

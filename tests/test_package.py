@@ -1,7 +1,9 @@
 """The package's lazy exports: `signedgraph.X` is always the binding of X in
 the submodule that defines it, and submodules load by name."""
 
+import ast
 import json
+import os
 import subprocess
 import sys
 import types
@@ -68,3 +70,35 @@ def test_matrices_loads_core_alone():
     assert r.returncode == 0, r.stderr
     loaded = {m for m in json.loads(r.stdout) if m.startswith("signedgraph.")}
     assert loaded == {"signedgraph.core", "signedgraph.matrices"}
+
+
+def test_frame_loads_core_alone():
+    code = "import json, sys, signedgraph.frame; print(json.dumps(sorted(sys.modules)))"
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True, env=cli_env())
+    assert r.returncode == 0, r.stderr
+    loaded = {m for m in json.loads(r.stdout) if m.startswith("signedgraph.")}
+    assert loaded == {"signedgraph.core", "signedgraph.frame"}
+
+
+def _imports_and_names(module):
+    """(names the module's import statements bind, names it reads) of a
+    submodule, from its syntax tree; `from __future__` imports bind none."""
+    with open(os.path.join(os.path.dirname(signedgraph.__file__), f"{module}.py"), encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    bound, used = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            bound.update((a.asname or a.name).split(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound.update(a.asname or a.name for a in node.names)
+        elif isinstance(node, ast.Name):
+            used.add(node.id)
+    return bound, used
+
+
+@pytest.mark.parametrize("module", ("__init__",) + MODULES)
+def test_no_module_imports_a_name_it_never_uses(module):
+    bound, used = _imports_and_names(module)
+    assert sorted(bound - used) == []
+    if module != "core":  # only core sets a record's slots
+        assert "_set" not in bound

@@ -1,3 +1,5 @@
+import copy
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -27,6 +29,19 @@ def test_immutable():
     p = IntPolynomial.one()
     with pytest.raises(AttributeError):
         p.coeffs = (5,)
+
+
+def test_copies_and_pickles_are_equal_polynomials():
+    # a copy or pickle rebuilds through __init__, which the immutability allows
+    for p in (IntPolynomial(), IntPolynomial((Fraction(1, 2), -3, 1))):
+        for again in (copy.copy(p), copy.deepcopy(p), pickle.loads(pickle.dumps(p))):
+            assert type(again) is IntPolynomial and again == p and again.coeffs == p.coeffs
+
+
+def test_equality_with_numbers():
+    assert IntPolynomial((3,)) == 3 == IntPolynomial((3,)) and IntPolynomial() == 0
+    assert IntPolynomial((Fraction(1, 2),)) == Fraction(1, 2)
+    assert IntPolynomial.x() != 0 and IntPolynomial.one() != "1" and IntPolynomial.one() != (1,)
 
 
 def test_format():
