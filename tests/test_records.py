@@ -9,6 +9,7 @@ import pickle
 
 import pytest
 
+import signedgraph
 from signedgraph import (
     AngleRepresentation,
     BidirectedGraph,
@@ -30,9 +31,6 @@ from signedgraph import (
 )
 from signedgraph.balance import _frustration_counts
 from signedgraph.core import _Record
-
-MODULES = ("core", "balance", "minors", "frame", "matrices", "orientation",
-           "coloring", "linegraph", "angle", "polynomial", "oracles", "cli")
 
 G = parse("sg 1\nn 3\nedge a 1 2 -\nedge b 2 3 +\nedge c 1 3 +\nhalf h 1\nedge l 3 3 -\n")
 LINKS = SignedGraph(3, [link("a", 0, 1, -1), link("b", 1, 2, 1), link("c", 0, 2, 1)])
@@ -66,7 +64,7 @@ def _subclasses(cls):
 
 
 def test_samples_cover_every_record_class():
-    for name in MODULES:
+    for name in signedgraph._EXPORTS:  # every submodule
         importlib.import_module(f"signedgraph.{name}")
     classes = set(_subclasses(_Record))
     assert {cls.__name__ for cls in classes} == set(SAMPLES)
