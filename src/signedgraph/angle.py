@@ -171,8 +171,8 @@ def construct_gramian(g: SignedGraph, nu, anti=False):
     try:
         shift = Fraction(nu)
         float(shift)  # the coordinates are float square roots
-    except (OverflowError, ValueError):
-        raise SgError("nu must be within float range") from None
+    except (OverflowError, TypeError, ValueError, ZeroDivisionError):
+        raise SgError("nu must be a rational number within float range") from None
     m = [[shift if v == w else -x if anti else x for w, x in enumerate(row)] for v, row in enumerate(a)]
     pivots = []
     for k in range(g.n):

@@ -73,6 +73,14 @@ def _cap(name, used, limit=None):
         raise SgError(f"{name} cap exceeded ({CAPS[name][1]} {used} > {limit})")
 
 
+def _ids(s):
+    """An edge-id collection as a frozenset.  A str is refused: frozenset
+    would read it as one id per character."""
+    if isinstance(s, str):
+        raise SgError(f"edge ids must be a collection of ids, not the string {s!r}")
+    return frozenset(s)
+
+
 class EdgeKind(Enum):
     LINK = "link"
     LOOP = "loop"
@@ -260,7 +268,7 @@ class SignedGraph(_Record):
 
     def restricted(self, s):
         """The edges of this graph whose ids lie in s, in file order."""
-        s = frozenset(s)
+        s = _ids(s)
         missing = s - self._by_id.keys()
         if missing:
             raise SgError(f"unknown edge ids {sorted(missing)}")
@@ -754,7 +762,7 @@ def spanning_forest(g: SignedGraph):
 
 def fundamental_system(g: SignedGraph, t):
     """Map each non-tree ordinary edge e to the unique circle in t + e."""
-    t = frozenset(t)
+    t = _ids(t)
     tree = g.restricted(t)
     parent, root, depth = _bfs_forest(_link_adjacency(g.n, tree))
     if sum(p is not None for p in parent) != len(tree):  # a non-link or a circle

@@ -16,8 +16,8 @@ from itertools import combinations
 from operator import attrgetter
 
 from .core import (
-    CAPS, SignedGraph, _LOOSE, _Record, _UndoableUnionFind, _cap, _frame_edge, _link_adjacency, _negative_circles,
-    _potential, _signed_circles,
+    CAPS, SignedGraph, _LOOSE, _Record, _UndoableUnionFind, _cap, _frame_edge, _ids, _link_adjacency,
+    _negative_circles, _potential, _signed_circles,
 )
 
 
@@ -96,7 +96,7 @@ def is_frame_circuit(g: SignedGraph, s):
     """Classify s if it is a frame circuit, else None.  s is one iff it is
     minimal dependent: rank(s) = rank(s - e) = |s| - 1 for every e in s; only
     then are the frame circuits of s enumerated, and s is the only one."""
-    s = frozenset(s)
+    s = _ids(s)
     if any(rank(g, t) != len(s) - 1 for t in [s, *(s - {e} for e in s)]):
         return None
     return _frame_circuits(g.with_edges(g.restricted(s)))[0]
@@ -180,5 +180,5 @@ def rank(g: SignedGraph, s=None) -> int:
 
 def is_independent(g: SignedGraph, s) -> bool:
     """True iff rank(S) = |S| (iff S contains no frame circuit)."""
-    s = frozenset(s)
+    s = _ids(s)
     return rank(g, s) == len(s)

@@ -9,20 +9,20 @@ Contracting a single edge e is contracting the set {e}.
 
 from __future__ import annotations
 
-from .core import SignedGraph, _Record, _graph, _potential, _relabel
+from .core import SignedGraph, _Record, _graph, _ids, _potential, _relabel
 
 
 class MinorTrace(_Record):
-    """Provenance of a minor: what was removed and where each vertex went.
+    """Provenance of a minor: the contracted set and where each vertex went.
 
     vertex_map maps old vertex -> new vertex index, or None if absorbed
     (deleted with an unbalanced component or an unbalanced edge)."""
 
-    __slots__ = ("deleted", "contracted", "vertex_map")
+    __slots__ = ("contracted", "vertex_map")
 
 
 def delete_edges(g: SignedGraph, s) -> SignedGraph:
-    s = frozenset(s)
+    s = _ids(s)
     kept = {e.id: e for e in g.edges if e.id not in s}
     if len(kept) + len(s) != len(g.edges):
         g.restricted(s)  # some id of s is not in g: raises naming them
@@ -45,12 +45,12 @@ def contract_set(g: SignedGraph, s):
     """Contract an edge set: vertices become the balanced components of s
     (canonical switching makes each all positive); unbalanced-component
     vertices vanish and incident outside edges lose those endpoints."""
-    s = frozenset(s)
+    s = _ids(s)
     zeta, root, unbalanced = _potential(g, s)
     roots = sorted(set(root) - unbalanced)
     index = {r: i for i, r in enumerate(roots)}
     vmap = {v: index.get(root[v]) for v in range(g.n)}
     rest = [e for e in g.edges if e.id not in s]
-    trace = MinorTrace(frozenset(), s, vmap)
+    trace = MinorTrace(s, vmap)
     # switched by zeta in the same pass; zeta on unbalanced components is irrelevant
     return _relabel(len(roots), rest, vmap, zeta), trace

@@ -16,7 +16,7 @@ from itertools import combinations, permutations, product
 from operator import attrgetter
 
 from .core import (
-    CAPS, SignedGraph, _LOOSE, _UndoableUnionFind, _cap, _frame_edge, edge_set_sign, enumerate_circles,
+    CAPS, SignedGraph, _LOOSE, _UndoableUnionFind, _cap, _frame_edge, _ids, edge_set_sign, enumerate_circles,
 )
 from .balance import is_balanced
 from .coloring import _constraints, _cap_depth, _delcon, is_proper, make_signed
@@ -179,7 +179,7 @@ def region_witness_point(g: SignedGraph, b):
 def balance_closure(g: SignedGraph, s) -> frozenset:
     """bcl(S): add every edge completing a positive circle inside S, plus
     loose edges; |S| < the circle cap.  Oracle for frame.closure on balanced S."""
-    s = frozenset(s)
+    s = _ids(s)
     g.restricted(s)
     out = set(s) | {e.id for e in g.edges if e.kind is _LOOSE}
     for e in g.edges:
@@ -197,7 +197,7 @@ def closure_by_circuits(g: SignedGraph, s) -> frozenset:
     circuit inside S + e.  Equal to frame.closure()."""
     from .frame import _frame_circuits
 
-    s = frozenset(s)
+    s = _ids(s)
     out = set(s)
     for e in g.edges:
         if e.id in out:

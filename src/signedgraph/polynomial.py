@@ -79,6 +79,8 @@ class IntPolynomial:
 
     def __add__(self, other):
         other = self._coerce(other)
+        if other is NotImplemented:
+            return other
         n = max(len(self.coeffs), len(other.coeffs))
         a = list(self.coeffs) + [0] * (n - len(self.coeffs))
         b = list(other.coeffs) + [0] * (n - len(other.coeffs))
@@ -88,10 +90,13 @@ class IntPolynomial:
         return IntPolynomial(-c for c in self.coeffs)
 
     def __sub__(self, other):
-        return self + (-self._coerce(other))
+        other = self._coerce(other)
+        return other if other is NotImplemented else self + -other
 
     def __mul__(self, other):
         other = self._coerce(other)
+        if other is NotImplemented:
+            return other
         if self.is_zero() or other.is_zero():
             return IntPolynomial()
         out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)

@@ -4,6 +4,7 @@ import random
 import pytest
 
 from signedgraph import (
+    Edge,
     EdgeKind,
     SignedGraph,
     edge_set_sign,
@@ -97,3 +98,25 @@ def delete_vertices(g, w):
 
 def seeded(seed):
     return random.Random(seed)
+
+
+def scramble(g, rng):
+    """g with its vertices relabelled, its edges shuffled and renamed, each
+    link's ends in a random order, and a random vertex set switched, built by
+    the public constructors; returned with the map old id -> new id.  Every
+    invariant of switching isomorphism takes the same value on both."""
+    perm = list(range(g.n))
+    rng.shuffle(perm)
+    zeta = [rng.choice((1, -1)) for _ in range(g.n)]
+    names = [f"x{i}" for i in range(len(g.edges))]
+    rng.shuffle(names)
+    rename = {e.id: name for e, name in zip(g.edges, names)}
+    edges = []
+    for e in rng.sample(g.edges, len(g.edges)):
+        ends, sign = tuple(perm[v] for v in e.ends), e.sign
+        if e.kind is EdgeKind.LINK:
+            sign *= zeta[e.ends[0]] * zeta[e.ends[1]]
+            if rng.random() < 0.5:
+                ends = ends[::-1]
+        edges.append(Edge(rename[e.id], e.kind, ends, sign))
+    return SignedGraph(g.n, edges), rename

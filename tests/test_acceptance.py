@@ -60,7 +60,9 @@ from signedgraph import (
     verify_representation,
     IntPolynomial,
 )
+from signedgraph.cli import VERBS
 from conftest import balance_oracle, cli_env, fixture_path, random_graph, seeded
+from test_golden import CASES, FORMATS, golden_path
 
 SIGMA4_PATH = fixture_path("sigma4.sg")
 
@@ -403,38 +405,24 @@ def test_criterion_11_catalog_cross_checks():
             assert cap == max_used_pairs_bruteforce(n, edge_list, n)
 
 
-CLI_CASES = [
-    ["info", SIGMA4_PATH],
-    ["balance", SIGMA4_PATH],
-    ["switch", SIGMA4_PATH, "--vertices", "1,3"],
-    ["balancing-edges", SIGMA4_PATH],
-    ["delete", SIGMA4_PATH, "--edges", "d,e"],
-    ["contract", SIGMA4_PATH, "--edges", "a"],
-    ["frame-circuits", SIGMA4_PATH],
-    ["closure", SIGMA4_PATH, "--edges", "a,b"],
-    ["rank", SIGMA4_PATH],
-    ["matrix", SIGMA4_PATH, "--which", "laplacian"],
-    ["matrix-tree", SIGMA4_PATH],
-    ["spectrum", SIGMA4_PATH, "--which", "adjacency"],
-    ["regions", SIGMA4_PATH, "--oracle", "--acyclic"],
-    ["acyclic", SIGMA4_PATH],
-    ["charpoly", SIGMA4_PATH],
-    ["chromatic", SIGMA4_PATH, "--algorithm", "subset"],
-    ["catalog", "--family", "pmknfull", "--n", "3"],
-    ["roots", "--name", "D", "--n", "3"],
-]
-
-
 def test_criterion_12_cli_determinism():
+    """Each verb's first golden case, launched once per format through the
+    module entry point with --threads 4 and a random hash seed, prints its
+    golden file byte for byte.  That file was written by another process, and
+    test_golden reads it back in this one at the default --threads 1, so each
+    output is compared across three hash seeds and two --threads values."""
+    first = {}
+    for case in sorted(CASES):
+        first.setdefault(CASES[case][0], case)
     with report(12, "CLI determinism"):
-        for argv in CLI_CASES:
-            outs = []
-            for threads in ("1", "1", "4"):
+        assert set(first) == set(VERBS), "a verb without a golden case"
+        for case in sorted(first.values()):
+            for fmt, extra in sorted(FORMATS.items()):
                 r = subprocess.run(
-                    [sys.executable, "-m", "signedgraph.cli", *argv, "--threads", threads],
+                    [sys.executable, "-m", "signedgraph.cli", *CASES[case], *extra, "--threads", "4"],
                     capture_output=True,
                     env=cli_env(),
                 )
-                assert r.returncode == 0, (argv, r.stderr)
-                outs.append(r.stdout)
-            assert outs[0] == outs[1] == outs[2], argv
+                assert r.returncode == 0, (case, fmt, r.stderr)
+                with open(golden_path(case, fmt), "rb") as fh:
+                    assert r.stdout == fh.read(), (case, fmt)

@@ -170,8 +170,9 @@ def test_construct_gramian_iff_eigenvalue_bound():
 
 def test_construct_gramian_rejects_nu_beyond_float_range():
     g = SignedGraph(3, [link("a", 0, 1, 1), link("b", 1, 2, -1)])
-    with pytest.raises(SgError, match="float range"):
-        construct_gramian(g, Fraction(10) ** 400)
+    for nu in (Fraction(10) ** 400, "1/0"):
+        with pytest.raises(SgError, match="float range"):
+            construct_gramian(g, nu)
 
 
 def test_construct_rejects_non_simple(sigma4):

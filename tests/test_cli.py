@@ -166,25 +166,6 @@ def test_max_edges_overrides_the_edge_cap_with_a_warning(capsys):
     assert "warning: edge cap overridden" in err
 
 
-def run_subprocess(argv, threads=None):
-    cmd = [sys.executable, "-m", "signedgraph.cli", *argv]
-    if threads is not None:
-        cmd += ["--threads", str(threads)]
-    return subprocess.run(cmd, capture_output=True, env=cli_env())
-
-
-def test_byte_identical_across_runs_and_threads(tmp_path):
-    inv = invocations(tmp_path)
-    for verb, extra in sorted(inv.items()):
-        for json_flag in ([], ["--json"]):
-            argv = [verb, *extra, *json_flag]
-            r1 = run_subprocess(argv, threads=1)
-            r2 = run_subprocess(argv, threads=1)
-            r4 = run_subprocess(argv, threads=4)
-            assert r1.returncode == r2.returncode == r4.returncode == 0, (verb, r1.stderr)
-            assert r1.stdout == r2.stdout == r4.stdout, verb
-
-
 # imports no json of its own, so that the calls' use of json shows
 LOADED_AFTER_EACH = """
 import ast, sys

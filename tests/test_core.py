@@ -5,6 +5,7 @@ import sys
 
 import pytest
 
+import signedgraph
 from signedgraph import (
     BalancePartition,
     Edge,
@@ -172,6 +173,22 @@ ERROR_PATHS = [
 def test_error_paths_raise_sgerror_naming_their_line(case, call, message):
     with pytest.raises(SgError, match="^" + re.escape(message)):
         call()
+
+
+# the entry points that take a collection of edge ids
+EDGE_ID_TAKERS = [
+    "balance_closure", "balance_partition", "closure", "closure_by_circuits", "components",
+    "contract_set", "delete_edges", "edge_set_sign", "enumerate_circles", "fundamental_system",
+    "incidence_columns", "is_balanced", "is_frame_circuit", "is_independent", "rank",
+]
+
+
+@pytest.mark.parametrize("name", ["SignedGraph.restricted", *EDGE_ID_TAKERS])
+def test_a_string_is_not_a_collection_of_edge_ids(name, sigma4):
+    call = SignedGraph.restricted if name == "SignedGraph.restricted" else getattr(signedgraph, name)
+    # as a frozenset, "ab" would be {"a", "b"}: two ids of sigma4
+    with pytest.raises(SgError, match="not the string 'ab'"):
+        call(sigma4, "ab")
 
 
 def test_degree_counts_edge_ends_and_checks_its_vertex():

@@ -25,6 +25,18 @@ def test_arithmetic():
     assert IntPolynomial.monomial(4, -2).coeffs == (0, 0, 0, 0, -2)
 
 
+@pytest.mark.parametrize("op", [
+    lambda p: p + "x",
+    lambda p: "x" + p,
+    lambda p: p - "x",
+    lambda p: p * 1.5,
+    lambda p: 1.5 * p,
+], ids=["p + str", "str + p", "p - str", "p * float", "float * p"])
+def test_arithmetic_with_a_non_number_raises_type_error(op):
+    with pytest.raises(TypeError):
+        op(IntPolynomial.one())
+
+
 def test_immutable():
     p = IntPolynomial.one()
     with pytest.raises(AttributeError):

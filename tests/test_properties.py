@@ -2,12 +2,13 @@
 graphs of all four edge kinds, the text format round-trips, a mutated
 fixture file parses to SgError or to a graph that round-trips, graphs built
 without checks (parse, switchings, minors) are the graphs the public
-constructors build, switching changes no switching invariant and
-switching equivalence is the search over all switchings, contraction
-takes rank(S) off every rank, every
-reading of the edge vector and of the signed circles agrees with its
-definition, closure obeys the closure axioms, and each walk over edge
-subsets on the undoable union-find equals its per-subset recomputation.
+constructors build, switching changes no switching invariant, relabelling,
+renaming and switching together change no invariant of switching
+isomorphism, switching equivalence is the search over all switchings,
+contraction takes rank(S) off every rank, every reading of the edge vector
+and of the signed circles agrees with its definition, closure obeys the
+closure axioms, and each walk over edge subsets on the undoable union-find
+equals its per-subset recomputation.
 
 Runs are derandomized, so every run tries the same examples."""
 
@@ -46,6 +47,7 @@ from signedgraph import (
     edge_vector,
     enumerate_acyclic,
     enumerate_circles,
+    enumerate_frame_circuits,
     half,
     incidence_matrix,
     is_acyclic,
@@ -67,10 +69,11 @@ from signedgraph import (
     switch,
     switch_set,
     switching_equivalent,
+    switching_isomorphic,
 )
 from signedgraph.coloring import _constraints
 from signedgraph.core import _UndoableUnionFind, _frame_edge, _potential, _signed_circles
-from conftest import FIXTURES, balance_oracle, delete_vertices
+from conftest import FIXTURES, balance_oracle, delete_vertices, scramble
 
 PROPERTY = settings(
     derandomize=True,
@@ -341,6 +344,23 @@ def test_switching_invariants(data, g):
     assert classify_balancing_edges(h) == classify_balancing_edges(g)
     assert chromatic_poly_delcon(h) == chromatic_poly_delcon(g)
     assert switching_equivalent(contract_set(g, s)[0], contract_set(h, s)[0]) is not None
+
+
+@PROPERTY
+@given(graphs(n_max=6, m_max=10), st.randoms(use_true_random=False))
+def test_relabelling_renaming_and_switching_change_no_invariant(g, rng):
+    h, rename = scramble(g, rng)
+    assert chromatic_poly_delcon(h) == chromatic_poly_delcon(g)
+    assert chromatic_poly_delcon(h, zero_free=True) == chromatic_poly_delcon(g, zero_free=True)
+    assert region_count(h) == region_count(g)  # the characteristic polynomial and the region count
+    ph, pg = balance_partition(h), balance_partition(g)
+    assert (ph.b, len(ph.v0), rank(h)) == (pg.b, len(pg.v0), rank(g))
+    kinds = [sorted(fc.kind for fc in enumerate_frame_circuits(x)) for x in (h, g)]
+    assert kinds[0] == kinds[1]
+    assert classify_balancing_edges(h) == {rename[eid]: c for eid, c in classify_balancing_edges(g).items()}
+    assert len(min_balancing_set(h)) == len(min_balancing_set(g))
+    assert matrix_tree(h) == matrix_tree(g)
+    assert switching_isomorphic(g, h) is not None
 
 
 def as_unordered(g):
