@@ -40,8 +40,7 @@ _EXPORTS = {
     "polynomial": ("IntPolynomial", "format_polynomial"),
     "orientation": (
         "BidirectedGraph", "Hyperplane", "RegionReport", "arrangement",
-        "characteristic_polynomial", "enumerate_acyclic", "is_acyclic", "orient",
-        "region_count",
+        "characteristic_polynomial", "is_acyclic", "orient", "region_count",
     ),
     "coloring": (
         "catalog", "chromatic_numbers", "chromatic_poly_delcon", "color_pair_capacity",
@@ -60,8 +59,8 @@ _EXPORTS = {
     ),
     "oracles": (
         "balance_closure", "chromatic_poly_subset", "chromatic_via_expansion",
-        "closure_by_circuits", "count_regions_by_sign_vectors", "max_used_pairs_bruteforce",
-        "min_balancing_set_exhaustive", "region_witness_point",
+        "closure_by_circuits", "count_regions_by_sign_vectors", "enumerate_acyclic",
+        "max_used_pairs_bruteforce", "min_balancing_set_exhaustive", "region_witness_point",
     ),
     "cli": (),
 }

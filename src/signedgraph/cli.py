@@ -255,9 +255,9 @@ def cmd_regions(g, args):
 
 
 def cmd_acyclic(g, args):
-    from .orientation import enumerate_acyclic
+    from .orientation import region_count
 
-    c = enumerate_acyclic(g)
+    c = region_count(g).region_count
     return {"acyclic": c}, [f"acyclic: {c}"]
 
 
@@ -275,9 +275,7 @@ def cmd_chromatic(g, args):
 
     zf = args.zero_free
     if args.algorithm == "count":
-        if args.k is None:
-            raise SgError("--algorithm count needs --k")
-        c = count_proper(g, args.k, zero_free=zf)
+        c = count_proper(g, args.k, zero_free=zf)  # raises SgError naming k when --k is missing
         return {"count": c, "k": args.k}, [f"count: {c}"]
     if args.algorithm == "expansion":
         if zf:

@@ -29,6 +29,8 @@ from .polynomial import IntPolynomial
 def is_proper(g: SignedGraph, gamma) -> bool:
     """gamma: sequence of colors indexed by vertex.  False whenever the graph
     has a loose edge or positive loop (no proper colorations exist then)."""
+    if len(gamma) != g.n:
+        raise SgError(f"gamma has {len(gamma)} colors for {g.n} vertices")
     for e in g.edges:
         if e.kind is _LOOSE:
             return False
@@ -42,10 +44,18 @@ def is_proper(g: SignedGraph, gamma) -> bool:
     return True
 
 
+def _proper_colorations(g: SignedGraph, k, zero_free):
+    """The proper colorations of g in -k..k, without 0 if zero_free, capped
+    before any color is listed; none is for n = 0, whose one candidate is ()."""
+    if type(k) is not int or k < 0:
+        raise SgError(f"k must be an int >= 0, got {k!r}")
+    _cap("coloration", (2 * k + (not zero_free)) ** g.n)
+    colors = [c for c in range(-k, k + 1) if c or not zero_free] if g.n else []
+    return (gamma for gamma in product(colors, repeat=g.n) if is_proper(g, gamma))
+
+
 def count_proper(g: SignedGraph, k, zero_free=False) -> int:
-    colors = [c for c in range(-k, k + 1) if not (zero_free and c == 0)]
-    _cap("coloration", len(colors) ** g.n)
-    return sum(1 for gamma in product(colors, repeat=g.n) if is_proper(g, gamma))
+    return sum(1 for _ in _proper_colorations(g, k, zero_free))
 
 
 # ---------------------------------------------------------------------------
@@ -331,6 +341,8 @@ def max_matching_size(n, edge_list) -> int:
     vertex sets: the lowest vertex of a set is matched to a neighbour in the
     set or left out.  A set of k vertices stops at k // 2 pairs.  The
     matching cap bounds n, and with it the 2^n sets."""
+    if type(n) is not int or n < 0:
+        raise SgError(f"n must be an int >= 0, got {n!r}")
     _cap("matching", n)
     nbr = [0] * n
     for u, v in edge_list:

@@ -40,7 +40,7 @@ CAPS = {
     "closed-set": (16, "edges"),  # closed_sets, the all-negative catalog's flats
     "balancing-set": (20, "component order"),  # min_balancing_set, per unbalanced component
     "exhaustive balancing-set": (20, "edges"),  # oracles.min_balancing_set_exhaustive
-    "orientation": (24, "edge ends"),  # enumerate_acyclic, is_acyclic
+    "orientation": (24, "edge ends"),  # is_acyclic, oracles.enumerate_acyclic
     "coloration": (2_000_000, "colorations"),  # count_proper, oracles.max_used_pairs_bruteforce
     "subset-expansion": (20, "edges"),  # oracles.chromatic_poly_subset
     "region-oracle": (6, "vertices"),  # oracles' signed-permutation points

@@ -2,7 +2,8 @@
 the signed Matrix-Tree identity, and floating-point spectra.
 
 Matrices are plain nested lists of Python ints (exact, arbitrary precision);
-rationals enter only inside Gaussian elimination.  The canonical column sign
+rank and determinant share one fraction-free elimination, and rank first
+scales a rational matrix's rows to integers.  The canonical column sign
 fixes the ambiguity the theory leaves open: the lower endpoint of a link gets
 entry +1, a half edge gets +1, a negative loop +2 (`core._edge_vector`).
 The matrix-tree count walks the independent n-edge sets depth first on
@@ -12,7 +13,7 @@ only on `core`.
 
 from __future__ import annotations
 
-from math import comb
+from math import comb, lcm
 from operator import attrgetter
 
 from .core import (
@@ -100,31 +101,42 @@ def reduce(g: SignedGraph) -> SignedGraph:
     })
 
 
-def rational_rank(m) -> int:
-    """Exact rank by Gaussian elimination over the rationals."""
-    from fractions import Fraction  # here, so that the integer matrices load no fractions
-
-    m = [[Fraction(x) for x in row] for row in m]
-    if not m or not m[0]:
-        return 0
-    rows, cols = len(m), len(m[0])
-    rank_ = 0
-    row = 0
-    for col in range(cols):
-        pivot = next((r for r in range(row, rows) if m[r][col] != 0), None)
-        if pivot is None:
-            continue
-        m[row], m[pivot] = m[pivot], m[row]
-        pv = m[row][col]
-        for r in range(row + 1, rows):
-            if m[r][col] != 0:
-                factor = m[r][col] / pv
-                m[r] = [a - factor * b for a, b in zip(m[r], m[row])]
-        row += 1
-        rank_ += 1
-        if row == rows:
+def _eliminate(a):
+    """Bareiss's fraction-free elimination (1968) of the integer rows a, in
+    place, skipping each column with no pivot.  Returns the rank and the last
+    pivot signed by the row swaps: each pivot is a minor of a, so every
+    division is exact, and a square a of full rank ends at its determinant."""
+    rows, cols = len(a), len(a[0]) if a else 0
+    rank, sign, prev = 0, 1, 1
+    for c in range(cols):
+        if rank == rows:
             break
-    return rank_
+        if not a[rank][c]:
+            p = next((i for i in range(rank + 1, rows) if a[i][c]), None)
+            if p is None:
+                continue
+            a[rank], a[p] = a[p], a[rank]
+            sign = -sign
+        top = a[rank]
+        pv = top[c]
+        for row in a[rank + 1:]:
+            x = row[c]
+            for j in range(c + 1, cols):
+                row[j] = (row[j] * pv - x * top[j]) // prev
+        prev = pv
+        rank += 1
+    return rank, sign * prev
+
+
+def rational_rank(m) -> int:
+    """Exact rank of a matrix of rationals (ints, Fractions, numpy ints) or
+    floats, each row scaled to integers by the lcm of its denominators."""
+    a = []
+    for row in m:
+        ratios = [x.as_integer_ratio() if isinstance(x, float) else (x.numerator, x.denominator) for x in row]
+        d = lcm(*(q for _, q in ratios))
+        a.append([p * (d // q) for p, q in ratios])
+    return _eliminate(a)[0]
 
 
 def rational_nullity(m) -> int:
@@ -134,28 +146,15 @@ def rational_nullity(m) -> int:
 
 
 def bareiss_determinant(m) -> int:
-    """Exact integer determinant by Bareiss fraction-free elimination."""
-    n = len(m)
-    if n == 0:
-        return 1
-    if any(len(row) != n for row in m):
+    """Exact determinant of a matrix of integers: ints, or Fractions and
+    floats of integer value."""
+    if any(len(row) != len(m) for row in m):
         raise SgError("determinant needs a square matrix")
     a = [list(map(int, row)) for row in m]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            pivot = next((r for r in range(k + 1, n) if a[r][k] != 0), None)
-            if pivot is None:
-                return 0
-            a[k], a[pivot] = a[pivot], a[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
+    if a != list(map(list, m)):
+        raise SgError("determinant needs integer entries")
+    rank, pivot = _eliminate(a)
+    return pivot if rank == len(m) else 0
 
 
 def incidence_columns(g: SignedGraph, s):

@@ -2,12 +2,13 @@
 
 Each function computes by definition or brute force what a production
 function computes faster; its docstring names that function.  The tests, the
-benchmark and the CLI flags `chromatic --algorithm subset|expansion` and
-`regions --oracle` compare the two.  No production module imports this one
-at module level, so a run that asks for no oracle never loads it; and this
-module imports `frame` and `orientation` where it uses them, so a chromatic
-oracle loads neither.  The subset expansion keeps the definition's 2^m terms
-but walks them on core's undoable union-find, at O(log n) per subset.
+benchmark and the CLI flags `chromatic --algorithm subset|expansion`,
+`regions --oracle` and `regions --acyclic` compare the two.  No production
+module imports this one at module level, so a run that asks for no oracle
+never loads it; and this module imports `frame` and `orientation` where it
+uses them, so a chromatic oracle loads neither.  The subset expansion keeps
+the definition's 2^m terms but walks them on core's undoable union-find, at
+O(log n) per subset.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from .core import (
     CAPS, SignedGraph, _LOOSE, _UndoableUnionFind, _cap, _frame_edge, _ids, edge_set_sign, enumerate_circles,
 )
 from .balance import is_balanced
-from .coloring import _constraints, _cap_depth, _delcon, is_proper, make_signed
+from .coloring import _constraints, _cap_depth, _delcon, _proper_colorations, make_signed
 from .polynomial import IntPolynomial
 
 
@@ -126,6 +127,17 @@ def chromatic_via_expansion(g: SignedGraph) -> IntPolynomial:
     return IntPolynomial(coeffs).compose_affine(1, -1).as_int()
 
 
+def enumerate_acyclic(g: SignedGraph) -> int:
+    """Count acyclic orientations: the 2^k masks x over the k non-loose
+    edges of `orient(g)`, each tested against circuit tables built once.
+    Oracle for (-1)^n p(-1) in orientation.region_count."""
+    from .orientation import _acyclic, _circuit_tables, orient
+
+    tables = _circuit_tables(g, orient(g).tau)
+    k = sum(1 for e in g.edges if e.kind is not _LOOSE)
+    return sum(1 for x in range(1 << k) if _acyclic(tables, x))
+
+
 def _signed_permutation_points(n):
     """The n!·2^n points whose coordinates are 1..n in some order, each with
     either sign.  Every region of a subarrangement of the full B_n reflection
@@ -214,13 +226,8 @@ def max_used_pairs_bruteforce(n, edge_list, k) -> int:
     """Max over proper zero-free k-colorations of the all-negative graph of
     the number of magnitudes used with both signs, at most the coloration
     cap of them.  Oracle for coloring.color_pair_capacity."""
-    g = make_signed(n, edge_list, -1)
-    colors = [c for c in range(-k, k + 1) if c != 0]
-    _cap("coloration", len(colors) ** n)
     best = 0
-    for gamma in product(colors, repeat=n):
-        if not is_proper(g, gamma):
-            continue
+    for gamma in _proper_colorations(make_signed(n, edge_list, -1), k, True):
         used = set(gamma)
         best = max(best, sum(1 for m in range(1, k + 1) if m in used and -m in used))
     return best

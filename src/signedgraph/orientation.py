@@ -2,7 +2,9 @@
 arrangement, its characteristic polynomial, and exact region counting.
 
 The characteristic polynomial is the chromatic polynomial (Zaslavsky, 1982),
-computed by deletion-contraction; the region count is (-1)^n p(-1).
+computed by deletion-contraction; the region count is (-1)^n p(-1), which
+also counts the acyclic orientations (Zaslavsky, 1991).  Their 2^k walk is
+the oracle `oracles.enumerate_acyclic`.
 """
 
 from __future__ import annotations
@@ -102,14 +104,6 @@ def is_acyclic(b: BidirectedGraph) -> bool:
     return _acyclic(_circuit_tables(b.graph, b.tau), 0)
 
 
-def enumerate_acyclic(g: SignedGraph) -> int:
-    """Count acyclic orientations: the 2^k masks x over the k non-loose
-    edges of `orient(g)`, each tested against circuit tables built once."""
-    tables = _circuit_tables(g, orient(g).tau)
-    k = sum(1 for e in g.edges if e.kind is not _LOOSE)
-    return sum(1 for x in range(1 << k) if _acyclic(tables, x))
-
-
 class Hyperplane(_Record):
     """x_j = sign * x_i (difference), x_i = 0 (coordinate), or 0 = 0."""
 
@@ -169,5 +163,7 @@ def region_count(g: SignedGraph, oracle=False, count_acyclic=False) -> RegionRep
 
         counts["sign_vector_regions"] = count_regions_by_sign_vectors(g)
     if count_acyclic:
+        from .oracles import enumerate_acyclic
+
         counts["acyclic_count"] = enumerate_acyclic(g)
     return RegionReport((-1) ** g.n * poly(-1), poly, **counts)

@@ -93,6 +93,10 @@ class IntPolynomial:
         other = self._coerce(other)
         return other if other is NotImplemented else self + -other
 
+    def __rsub__(self, other):
+        other = self._coerce(other)
+        return other if other is NotImplemented else other + -self
+
     def __mul__(self, other):
         other = self._coerce(other)
         if other is NotImplemented:

@@ -12,7 +12,6 @@ from fractions import Fraction
 from itertools import combinations, product
 
 from signedgraph import (
-    AngleRepresentation,
     BidirectedGraph,
     SignedGraph,
     adjacency_matrix,
@@ -26,7 +25,6 @@ from signedgraph import (
     construct_gramian,
     count_proper,
     edge_vector,
-    enumerate_acyclic,
     enumerate_frame_circuits,
     generalized_line_graph,
     half,

@@ -317,7 +317,7 @@ def test_catalog_of_a_huge_complete_expansion_exits_at_the_input_edge_cap():
 def test_polynomial_verbs_on_64_links_exit_at_the_deletion_contraction_cap(tmp_path):
     path = tmp_path / "links64.sg"
     path.write_bytes(serialize(links64(2)))
-    for verb in ("chromatic", "charpoly", "regions"):
+    for verb in ("chromatic", "charpoly", "regions", "acyclic"):
         r = sgtool([verb, str(path)])
         assert r.returncode == 1 and r.stdout == "", verb
         assert r.stderr == "error: deletion-contraction cap exceeded (states 20001 > 20000)\n", verb

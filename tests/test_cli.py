@@ -1,11 +1,13 @@
 import ast
 import json
 import os
+import random
 import subprocess
 import sys
 
 import pytest
 
+from signedgraph import SgError, SignedGraph, enumerate_acyclic, link, serialize
 from signedgraph.cli import build_parser, run
 from conftest import cli_env, fixture_path
 
@@ -125,6 +127,9 @@ def test_exit_codes(tmp_path, capsys):
     wide.write_text("sg 1\nn 11\n")
     assert run(["frame-circuits", str(wide)]) == 1
     assert "frame-circuit enumeration cap exceeded" in capsys.readouterr().err
+    for extra, got in (([], "None"), (["--k", "-1"], "-1")):  # count_proper checks k
+        assert run(["chromatic", SIGMA4, "--algorithm", "count", *extra]) == 1
+        assert capsys.readouterr().err == f"error: k must be an int >= 0, got {got}\n"
     huge = tmp_path / "huge.sg"  # checked before any kernel allocates per vertex
     huge.write_text("sg 1\nn 99999999999\n")
     assert run(["balance", str(huge)]) == 1
@@ -158,6 +163,26 @@ def test_regions_output(capsys):
     assert "regions: 60" in out
     assert "oracle-regions: 60" in out
     assert "acyclic: 60" in out
+
+
+def test_acyclic_prints_the_region_count_past_the_orientation_cap(tmp_path, capsys):
+    rng = random.Random(28)
+    pairs = rng.sample([(u, v) for u in range(12) for v in range(u + 1, 12)], 24)
+    graphs = {
+        "c30": SignedGraph(30, [link(f"e{i}", i, (i + 1) % 30, -1 if i == 0 else 1) for i in range(30)]),
+        "links24": SignedGraph(12, [link(f"e{i}", u, v, rng.choice((1, -1))) for i, (u, v) in enumerate(pairs)]),
+    }
+    for name, g in graphs.items():
+        with pytest.raises(SgError, match="orientation cap exceeded"):  # the oracle's 2^k walk stops
+            enumerate_acyclic(g)
+        path = tmp_path / f"{name}.sg"
+        path.write_bytes(serialize(g))
+        assert run(["regions", str(path)]) == 0
+        regions = capsys.readouterr().out.splitlines()[0].removeprefix("regions: ")
+        assert run(["acyclic", str(path)]) == 0
+        assert capsys.readouterr().out == f"acyclic: {regions}\n"
+        if name == "c30":
+            assert regions == str(2**30)
 
 
 def test_max_edges_overrides_the_edge_cap_with_a_warning(capsys):
@@ -234,7 +259,8 @@ def test_a_parser_built_for_one_verb_reads_as_the_full_one():
 def test_oracles_load_only_when_an_oracle_is_asked_for():
     production = [
         ["charpoly", SIGMA4],
-        ["regions", SIGMA4, "--acyclic"],
+        ["regions", SIGMA4],
+        ["acyclic", SIGMA4],
         ["chromatic", SIGMA4],
         ["chromatic", SIGMA4, "--zero-free"],
     ]
@@ -242,6 +268,7 @@ def test_oracles_load_only_when_an_oracle_is_asked_for():
     assert loaded_after_each("signedgraph.oracles", calls) == [False] * len(calls)
     for argv in (
         ["regions", SIGMA4, "--oracle"],
+        ["regions", SIGMA4, "--acyclic"],
         ["chromatic", SIGMA4, "--algorithm", "subset"],
         ["chromatic", SIGMA4, "--algorithm", "expansion"],
     ):

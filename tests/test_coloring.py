@@ -21,6 +21,7 @@ from signedgraph import (
     count_proper,
     delete_edges,
     half,
+    is_proper,
     link,
     loop,
     loose,
@@ -225,6 +226,31 @@ def test_color_pair_capacity_of_long_paths_is_quick():
         start = time.perf_counter()
         assert color_pair_capacity(n, [(i, i + 1) for i in range(n - 1)]) == n // 2
         assert time.perf_counter() - start < 1.0
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: color_pair_capacity(-1, []), "n must be an int >= 0, got -1"),
+    (lambda: is_proper(SignedGraph(2, []), (0,)), "gamma has 1 colors for 2 vertices"),
+    (lambda: count_proper(SignedGraph(2, []), "a"), "k must be an int >= 0, got 'a'"),
+    (lambda: count_proper(SignedGraph(2, []), -1, zero_free=True), "k must be an int >= 0, got -1"),
+    (lambda: max_used_pairs_bruteforce(2, [], 1.0), "k must be an int >= 0, got 1.0"),
+], ids=["color_pair_capacity n", "is_proper gamma", "count_proper k str", "count_proper k negative",
+        "max_used_pairs_bruteforce k float"])
+def test_a_bad_argument_raises_sg_error_naming_it(call, message):
+    with pytest.raises(SgError) as err:
+        call()
+    assert str(err.value) == message
+
+
+def test_a_huge_k_reaches_the_coloration_cap_before_listing_colors():
+    for call in (lambda: count_proper(SignedGraph(2, []), 10**11),
+                 lambda: count_proper(SignedGraph(2, []), 10**11, zero_free=True),
+                 lambda: max_used_pairs_bruteforce(2, [], 10**11)):
+        start = time.perf_counter()
+        with pytest.raises(SgError, match=r"^coloration cap exceeded \(colorations \d+ > 2000000\)$"):
+            call()
+        assert time.perf_counter() - start < 0.1
+    assert count_proper(SignedGraph(0, []), 10**11) == 1  # the one empty coloration
 
 
 def kernel_graph(rng):

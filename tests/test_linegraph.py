@@ -10,7 +10,6 @@ from signedgraph import (
     SignedGraph,
     adjacency_matrix,
     generalized_line_graph,
-    half,
     harary_norman,
     line_adjacency_identity,
     line_graph,

@@ -1,5 +1,7 @@
-from itertools import combinations
+from fractions import Fraction
+from itertools import combinations, permutations
 
+import numpy as np
 import pytest
 
 from signedgraph import (
@@ -10,7 +12,6 @@ from signedgraph import (
     degree_matrix,
     edge_vector,
     enumerate_frame_circuits,
-    half,
     incidence_columns,
     incidence_matrix,
     is_independent,
@@ -153,6 +154,7 @@ def test_rational_rank_basics(sigma4):
     tree = SignedGraph(4, [link("a", 0, 1, 1), link("b", 1, 2, 1), link("c", 2, 3, 1)])
     assert rational_rank(incidence_matrix(tree)) == 3
     assert rational_nullity(incidence_matrix(tree)) == 0
+    assert rational_rank(np.array([[1, 2], [2, 4]])) == rational_rank([[0.5, 1.5], [1.0, 3]]) == 1
 
 
 def test_rank_law_random():
@@ -181,6 +183,49 @@ def test_bareiss_determinant():
     assert bareiss_determinant([[0, 1], [1, 0]]) == -1
     with pytest.raises(SgError):
         bareiss_determinant([[1, 2, 3]])
+
+
+def leibniz(m):
+    """The determinant by definition: the signed sum over permutations."""
+    total = 0
+    for perm in permutations(range(len(m))):
+        term = (-1) ** sum(perm[i] > perm[j] for i, j in combinations(range(len(m)), 2))
+        for i, j in enumerate(perm):
+            term *= m[i][j]
+        total += term
+    return total
+
+
+def largest_nonzero_minor(m):
+    """The rank by definition: the order of the largest nonzero minor."""
+    rows, cols = len(m), len(m[0]) if m else 0
+    for k in range(min(rows, cols), 0, -1):
+        for rs in combinations(range(rows), k):
+            for cs in combinations(range(cols), k):
+                if leibniz([[m[i][j] for j in cs] for i in rs]):
+                    return k
+    return 0
+
+
+def test_rank_and_determinant_match_their_definitions():
+    rng = seeded(28)
+    for trial in range(400):
+        rows, cols = rng.randint(0, 5), rng.randint(0, 5)
+        if trial % 2:  # Fractions with small denominators
+            entry = lambda: Fraction(rng.choice((0, 0, rng.randint(-3, 3))), rng.randint(1, 4))
+        else:  # mostly zeros, so that columns without a pivot and row swaps occur
+            entry = lambda: rng.choice((0, 0, 0, rng.randint(-4, 4)))
+        m = [[entry() for _ in range(cols)] for _ in range(rows)]
+        if rows > 2 and rng.random() < 0.3:  # a row that depends on two others
+            m[-1] = [2 * x - y for x, y in zip(m[0], m[1])]
+        assert rational_rank(m) == largest_nonzero_minor(m), m
+        square = [row[:rows] for row in m] if cols >= rows else None
+        if square is not None:
+            if all(Fraction(x).denominator == 1 for row in square for x in row):
+                assert bareiss_determinant(square) == leibniz(square), square
+            else:
+                with pytest.raises(SgError, match="determinant needs integer entries"):
+                    bareiss_determinant(square)
 
 
 def test_matrix_tree_sigma4(sigma4):

@@ -22,6 +22,8 @@ def test_arithmetic():
     assert p(0) == -15 and p(1) == 0 and p(7) == 48
     assert (p - p).is_zero()
     assert (2 * x + 1)(3) == 7
+    assert (1 - x).coeffs == (1, -1)
+    assert (Fraction(1, 2) - x).coeffs == (Fraction(1, 2), -1)
     assert IntPolynomial.monomial(4, -2).coeffs == (0, 0, 0, 0, -2)
 
 
@@ -29,9 +31,10 @@ def test_arithmetic():
     lambda p: p + "x",
     lambda p: "x" + p,
     lambda p: p - "x",
+    lambda p: "x" - p,
     lambda p: p * 1.5,
     lambda p: 1.5 * p,
-], ids=["p + str", "str + p", "p - str", "p * float", "float * p"])
+], ids=["p + str", "str + p", "p - str", "str - p", "p * float", "float * p"])
 def test_arithmetic_with_a_non_number_raises_type_error(op):
     with pytest.raises(TypeError):
         op(IntPolynomial.one())
