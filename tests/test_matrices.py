@@ -219,8 +219,8 @@ def test_rank_and_determinant_match_their_definitions():
         if rows > 2 and rng.random() < 0.3:  # a row that depends on two others
             m[-1] = [2 * x - y for x, y in zip(m[0], m[1])]
         assert rational_rank(m) == largest_nonzero_minor(m), m
-        square = [row[:rows] for row in m] if cols >= rows else None
-        if square is not None:
+        if cols >= rows:
+            square = [row[:rows] for row in m]
             if all(Fraction(x).denominator == 1 for row in square for x in row):
                 assert bareiss_determinant(square) == leibniz(square), square
             else:
