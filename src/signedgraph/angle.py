@@ -12,7 +12,7 @@ import math
 from fractions import Fraction
 from itertools import product
 
-from .core import SgError, SignedGraph, _LINK, _Record, _cap
+from .core import SgError, SignedGraph, _LINK, _Record, _cap, _count, _pairs
 from .matrices import adjacency_matrix
 
 TOL = 1e-8  # verify_representation's tolerance for float vectors
@@ -43,11 +43,10 @@ def _negv(v):
 
 def root_system(name, n=None) -> RootSystem:
     """A(n-1) in R^n, B(n), C(n), D(n), or E8 (n forced to 8)."""
-    name = name.upper()
-    if name == "E8":
-        n = 8
-    if n is None or n < 1:
-        raise SgError("root system needs n >= 1")
+    name = name.upper() if isinstance(name, str) else name
+    if name not in ("A", "B", "C", "D", "E8"):
+        raise SgError(f"unknown root system {name!r}")
+    n = 8 if name == "E8" else _count("n", n, 1)
     _cap("root-system", n)
     vs = set()
     if name == "A":
@@ -56,24 +55,21 @@ def root_system(name, n=None) -> RootSystem:
                 if i != j:
                     vs.add(_add(_e(n, j), _negv(_e(n, i))))
         return RootSystem("A", n, frozenset(vs))
-    if name in ("B", "C", "D", "E8"):
-        dim = 8 if name == "E8" else n
-        for i in range(dim):
-            for j in range(i + 1, dim):
-                for si, sj in product((1, -1), repeat=2):
-                    vs.add(_add(_e(dim, i, si), _e(dim, j, sj)))
-        if name in ("B", "C"):  # B adds the short roots +-e_i, C the long roots +-2e_i
-            c = 1 if name == "B" else 2
-            for i in range(n):
-                vs.add(_e(n, i, c))
-                vs.add(_e(n, i, -c))
-        elif name == "E8":
-            half = Fraction(1, 2)
-            for signs in product((1, -1), repeat=8):
-                if signs.count(-1) % 2 == 0:
-                    vs.add(tuple(half * s for s in signs))
-        return RootSystem(name, dim if name == "E8" else n, frozenset(vs))
-    raise SgError(f"unknown root system {name!r}")
+    for i in range(n):
+        for j in range(i + 1, n):
+            for si, sj in product((1, -1), repeat=2):
+                vs.add(_add(_e(n, i, si), _e(n, j, sj)))
+    if name in ("B", "C"):  # B adds the short roots +-e_i, C the long roots +-2e_i
+        c = 1 if name == "B" else 2
+        for i in range(n):
+            vs.add(_e(n, i, c))
+            vs.add(_e(n, i, -c))
+    elif name == "E8":
+        half = Fraction(1, 2)
+        for signs in product((1, -1), repeat=8):
+            if signs.count(-1) % 2 == 0:
+                vs.add(tuple(half * s for s in signs))
+    return RootSystem(name, n, frozenset(vs))
 
 
 # ---------------------------------------------------------------------------
@@ -108,12 +104,8 @@ def _dot(u, v):
 def _simple_adjacency(g: SignedGraph):
     if any(e.kind is not _LINK for e in g.edges):
         raise SgError("angle representations need a simple link graph")
-    a = adjacency_matrix(g)
-    for i in range(g.n):
-        for j in range(g.n):
-            if i != j and abs(a[i][j]) > 1:
-                raise SgError("angle representations need a simple graph")
-    return a
+    _pairs(g.n, [e.ends for e in g.edges], "an angle representation's graph")
+    return adjacency_matrix(g)
 
 
 def verify_representation(g: SignedGraph, rep: AngleRepresentation) -> bool:

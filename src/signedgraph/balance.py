@@ -50,6 +50,7 @@ from .core import (
     _Record,
     _signed_circles,
     _switching_bfs,
+    _vertices,
 )
 
 
@@ -117,10 +118,7 @@ def _switched(g: SignedGraph, zeta) -> SignedGraph:
 
 def switch_set(g: SignedGraph, x) -> SignedGraph:
     """Switch the vertex set x (negate signs across the cut E(x, x^c))."""
-    x = frozenset(x)
-    bad = [v for v in x if type(v) is not int or not 0 <= v < g.n]
-    if bad:
-        raise SgError(f"vertex {min(bad, key=repr)!r} out of range")
+    x = _vertices(g.n, x)
     return _switched(g, [-1 if v in x else 1 for v in range(g.n)])
 
 

@@ -17,7 +17,7 @@ from fractions import Fraction
 from itertools import product, zip_longest
 from math import comb
 
-from .core import CAPS, SgError, SignedGraph, _LOOSE, _cap, _edge_vector, half, link, loop
+from .core import CAPS, SgError, SignedGraph, _LOOSE, _cap, _count, _edge_vector, _pairs, half, link, loop
 from .minors import contract_set
 from .polynomial import IntPolynomial
 
@@ -47,9 +47,7 @@ def is_proper(g: SignedGraph, gamma) -> bool:
 def _proper_colorations(g: SignedGraph, k, zero_free):
     """The proper colorations of g in -k..k, without 0 if zero_free, capped
     before any color is listed; none is for n = 0, whose one candidate is ()."""
-    if type(k) is not int or k < 0:
-        raise SgError(f"k must be an int >= 0, got {k!r}")
-    _cap("coloration", (2 * k + (not zero_free)) ** g.n)
+    _cap("coloration", (2 * _count("k", k) + (not zero_free)) ** g.n)
     colors = [c for c in range(-k, k + 1) if c or not zero_free] if g.n else []
     return (gamma for gamma in product(colors, repeat=g.n) if is_proper(g, gamma))
 
@@ -241,6 +239,7 @@ def make_signed_expansion(n, edge_list) -> SignedGraph:
 
 
 def complete_graph_edges(n):
+    _cap("input-vertex", n)
     return [(i, j) for i in range(n) for j in range(i + 1, n)]
 
 
@@ -266,9 +265,9 @@ FAMILIES = (
 def catalog(family, base=None, n=None, edge_list=None):
     """Build a catalog family and its predicted closed-form polynomials.
 
-    family: one of FAMILIES.  For families derived from an unsigned base
-    graph, pass n and edge_list; for 'full'/'full_loops', pass a SignedGraph
-    base.  Returns (graph, predicted_chi, predicted_chi_star), predictions
+    family: one of FAMILIES.  For families derived from a simple unsigned
+    base graph, pass n and edge_list; for 'full'/'full_loops', pass a
+    SignedGraph base.  Returns (graph, predicted_chi, predicted_chi_star), predictions
     possibly None where no closed form is given.
     """
     if family not in FAMILIES:
@@ -294,8 +293,7 @@ def catalog(family, base=None, n=None, edge_list=None):
 
     if n is None or edge_list is None:
         raise SgError(f"family {family!r} needs n and edge_list")
-    if any(u == v for u, v in edge_list) or len(set(map(tuple, map(sorted, edge_list)))) != len(edge_list):
-        raise SgError("catalog base graph must be simple")
+    _pairs(n, edge_list, "catalog base graph")
     chi_gamma = unsigned_chromatic(n, edge_list)
 
     if family == "all_positive":
@@ -341,11 +339,9 @@ def max_matching_size(n, edge_list) -> int:
     vertex sets: the lowest vertex of a set is matched to a neighbour in the
     set or left out.  A set of k vertices stops at k // 2 pairs.  The
     matching cap bounds n, and with it the 2^n sets."""
-    if type(n) is not int or n < 0:
-        raise SgError(f"n must be an int >= 0, got {n!r}")
-    _cap("matching", n)
+    _cap("matching", _count("n", n))
     nbr = [0] * n
-    for u, v in edge_list:
+    for u, v in _pairs(n, edge_list, "graph"):
         nbr[u] |= 1 << v
         nbr[v] |= 1 << u
     memo = {0: 0}
@@ -382,9 +378,10 @@ def color_pair_capacity(n, edge_list) -> int:
     the capacity equals the maximum matching of the complement.  Note the
     plain minimum-k chromatic number of an all-negative graph is always 1
     (a constant coloration is proper)."""
+    _cap("matching", _count("n", n))  # before the n(n-1)/2 complement pairs
     return max_matching_size(n, complement_edges(n, edge_list))
 
 
 def complement_edges(n, edge_list):
-    present = {tuple(sorted(e)) for e in edge_list}
+    present = set(_pairs(n, edge_list, "graph"))
     return [e for e in complete_graph_edges(n) if e not in present]

@@ -18,6 +18,11 @@ Every record of the library is a `_Record`, and its fields are set only by
 the one constructor `_Record.__init__`, except in `Edge` and `SignedGraph`,
 which set their own slots here (see `_Record`).
 
+Inputs: a wrong value, a bad shape or an order over a cap raises SgError
+naming it, as does a count or a vertex that is not an int; any other wrong type
+raises TypeError.  Each rule is written once: `_count`, `_vertices`, `_pairs`
+(a simple edge list), `_ids`, `_cap` and `matrices._rows`.
+
 `_UndoableUnionFind` is the library's one union-find.  The walks over edge
 subsets (`oracles.chromatic_poly_subset`, `frame.closed_sets`,
 `matrices.matrix_tree`) add and undo one edge per step on it, at O(log n)
@@ -36,7 +41,7 @@ from operator import attrgetter
 CAPS = {
     "circle enumeration": (20, "edges"),  # enumerate_circles, has_two_disjoint_negative_circles
     "frame-circuit enumeration": (10, "vertices"),  # enumerate_frame_circuits
-    "frame-circuit edge": (20, "edges"),  # enumerate_frame_circuits
+    "frame-circuit edge": (20, "edges"),  # enumerate_frame_circuits, oracles.closure_by_circuits (S + e)
     "closed-set": (16, "edges"),  # closed_sets, the all-negative catalog's flats
     "balancing-set": (20, "component order"),  # min_balancing_set, per unbalanced component
     "exhaustive balancing-set": (20, "edges"),  # oracles.min_balancing_set_exhaustive
@@ -79,6 +84,32 @@ def _ids(s):
     if isinstance(s, str):
         raise SgError(f"edge ids must be a collection of ids, not the string {s!r}")
     return frozenset(s)
+
+
+def _count(what, k, low=0):
+    """k if it is an int (a bool is not) of at least low, else SgError naming what."""
+    if type(k) is not int or k < low:
+        raise SgError(f"{what} must be an int >= {low}, got {k!r}")
+    return k
+
+
+def _vertices(n, vs):
+    """vs as a frozenset of vertices 0..n-1, in one pass; SgError names the least bad one."""
+    vs = frozenset(vs)
+    bad = [v for v in vs if type(v) is not int or not 0 <= v < n]
+    if bad:
+        raise SgError(f"vertex {min(bad, key=repr)!r} out of range")
+    return vs
+
+
+def _pairs(n, edge_list, what):
+    """edge_list, a sequence of (u, v), as sorted pairs of `_vertices` with no loop or
+    pair twice, else SgError.  An iterator raises TypeError, as callers read edge_list again."""
+    pairs = [(u, v) if u < v else (v, u) for u, v in edge_list]
+    _vertices(n, (v for p in pairs for v in p))
+    if any(u == v for u, v in pairs) or len(set(pairs)) < len(edge_list):
+        raise SgError(f"{what} must be simple")
+    return pairs
 
 
 class EdgeKind(Enum):
@@ -233,9 +264,7 @@ class SignedGraph(_Record):
     __slots__ = ("n", "edges", "_by_id")
 
     def __init__(self, n, edges=()):
-        if type(n) is not int or n < 0:
-            raise SgError(f"order n must be an int >= 0, got {n!r}")
-        _cap("input-vertex", n)
+        _cap("input-vertex", _count("order n", n))
         seen = {}
         try:  # an item that is not an Edge fails on .id or .ends
             edges = tuple(edges)
@@ -277,8 +306,7 @@ class SignedGraph(_Record):
     def degree(self, v):
         """The number of edge ends at v: a loop counts 2 and a half edge 1.
         `matrices.degree_matrix` counts a half edge 2, as L = H H^T needs."""
-        if type(v) is not int or not 0 <= v < self.n:  # bool is not int
-            raise SgError(f"vertex {v!r} out of range")
+        _vertices(self.n, (v,))
         return sum(e.ends.count(v) for e in self.edges)
 
     def with_edges(self, edges):

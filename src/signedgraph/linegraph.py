@@ -10,7 +10,7 @@ factors a partial map forces live on `core._UndoableUnionFind`.
 
 from __future__ import annotations
 
-from .core import Edge, SgError, SignedGraph, _LINK, _LOOP, _Record, _UndoableUnionFind, _cap, link
+from .core import Edge, SgError, SignedGraph, _LINK, _LOOP, _Record, _UndoableUnionFind, _cap, _count, _pairs, link
 from .matrices import adjacency_matrix, reduce as reduce_graph
 from .orientation import BidirectedGraph, orient
 
@@ -126,9 +126,7 @@ def multigraph_with_petals(n, edge_list, multiplicities):
     the digons negative."""
     if len(multiplicities) != n:
         raise SgError("need one multiplicity per vertex")
-    for m in multiplicities:
-        if type(m) is not int or m < 0:  # bool is not int
-            raise SgError(f"multiplicity must be an int >= 0, got {m!r}")
+    _cap("input-vertex", n + sum(_count("multiplicity", m) for m in multiplicities))
     edges = [
         link(f"e{k + 1}", u, v, -1) for k, (u, v) in enumerate(edge_list)
     ]
@@ -149,13 +147,12 @@ def generalized_line_graph(n, edge_list, multiplicities):
     its definition (line graph of the base, disjoint cocktail party graphs,
     join edges), negated.  The reduced line graph of the first equals the
     second up to switching and isomorphism."""
-    if any(u == v for u, v in edge_list):
-        raise SgError("base graph must be simple")
+    pairs = _pairs(n, edge_list, "base graph")
     src = multigraph_with_petals(n, edge_list, multiplicities)
 
     # vertices of -Lambda(Gamma; m...): base edges first, then 2*m_i cocktail
     # party vertices per base vertex
-    m_base = len(edge_list)
+    m_base = len(pairs)
     total = m_base + 2 * sum(multiplicities)
     edges = []
     eid = 0
@@ -167,7 +164,7 @@ def generalized_line_graph(n, edge_list, multiplicities):
 
     for i in range(m_base):
         for j in range(i + 1, m_base):
-            if set(edge_list[i]) & set(edge_list[j]):
+            if set(pairs[i]) & set(pairs[j]):
                 neg(i, j)
     offset = m_base
     for v, m in enumerate(multiplicities):
@@ -180,7 +177,7 @@ def generalized_line_graph(n, edge_list, multiplicities):
                     continue
                 neg(cp[a], cp[b])
         # join: every cocktail party vertex to every base edge at v
-        for i, (x, y) in enumerate(edge_list):
+        for i, (x, y) in enumerate(pairs):
             if v in (x, y):
                 for w in cp:
                     neg(i, w)

@@ -101,6 +101,15 @@ def reduce(g: SignedGraph) -> SignedGraph:
     })
 
 
+def _rows(m, need, square=False):
+    """m's rows as lists of one length, len(m) if square, else SgError saying what need needs."""
+    rows = [list(row) for row in m]
+    width = len(rows) if square or not rows else len(rows[0])
+    if any(len(row) != width for row in rows):
+        raise SgError(f"{need} needs a {'square' if square else 'rectangular'} matrix")
+    return rows
+
+
 def _eliminate(a):
     """Bareiss's fraction-free elimination (1968) of the integer rows a, in
     place, skipping each column with no pivot.  Returns the rank and the last
@@ -132,7 +141,7 @@ def rational_rank(m) -> int:
     """Exact rank of a matrix of rationals (ints, Fractions, numpy ints) or
     floats, each row scaled to integers by the lcm of its denominators."""
     a = []
-    for row in m:
+    for row in _rows(m, "rank"):
         ratios = [x.as_integer_ratio() if isinstance(x, float) else (x.numerator, x.denominator) for x in row]
         d = lcm(*(q for _, q in ratios))
         a.append([p * (d // q) for p, q in ratios])
@@ -140,18 +149,15 @@ def rational_rank(m) -> int:
 
 
 def rational_nullity(m) -> int:
-    if not m or not m[0]:
-        return 0
-    return len(m[0]) - rational_rank(m)
+    return len(m[0]) - rational_rank(m) if len(m) else 0
 
 
 def bareiss_determinant(m) -> int:
     """Exact determinant of a matrix of integers: ints, or Fractions and
     floats of integer value."""
-    if any(len(row) != len(m) for row in m):
-        raise SgError("determinant needs a square matrix")
-    a = [list(map(int, row)) for row in m]
-    if a != list(map(list, m)):
+    rows = _rows(m, "determinant", square=True)
+    a = [list(map(int, row)) for row in rows]
+    if a != rows:
         raise SgError("determinant needs integer entries")
     rank, pivot = _eliminate(a)
     return pivot if rank == len(m) else 0
@@ -212,7 +218,7 @@ def spectrum(m):
     """Eigenvalues of a symmetric integer matrix, ascending."""
     import numpy as np  # on first use: no other routine needs numpy
 
-    arr = np.array(m, dtype=float)
+    arr = np.array(_rows(m, "spectrum", square=True), dtype=float)
     if arr.size and not np.array_equal(arr, arr.T):
         raise SgError("spectrum needs a symmetric matrix")
     if arr.size == 0:

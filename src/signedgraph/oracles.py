@@ -205,11 +205,12 @@ def balance_closure(g: SignedGraph, s) -> frozenset:
 
 
 def closure_by_circuits(g: SignedGraph, s) -> frozenset:
-    """The frame-circuit form of closure: S plus every e lying on a frame
-    circuit inside S + e.  Equal to frame.closure()."""
+    """The frame-circuit form of closure: S plus every e lying on a frame circuit
+    inside S + e; |S| < the frame-circuit edge cap.  Equal to frame.closure()."""
     from .frame import _frame_circuits
 
     s = _ids(s)
+    _cap("frame-circuit edge", len(s) + 1)
     out = set(s)
     for e in g.edges:
         if e.id in out:

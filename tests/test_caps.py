@@ -20,6 +20,7 @@ from signedgraph import (
     chromatic_poly_subset,
     chromatic_via_expansion,
     closed_sets,
+    closure_by_circuits,
     color_pair_capacity,
     count_proper,
     degree_matrix,
@@ -39,6 +40,8 @@ from signedgraph import (
     min_balancing_set_exhaustive,
     orient,
     parse,
+    plus_minus_kn,
+    plus_minus_kn_full,
     region_count,
     region_witness_point,
     root_system,
@@ -46,7 +49,7 @@ from signedgraph import (
     switching_isomorphic,
 )
 from signedgraph.core import CAPS
-from signedgraph.linegraph import multigraph_with_petals
+from signedgraph.linegraph import generalized_line_graph, multigraph_with_petals
 from conftest import cli_env
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -150,6 +153,9 @@ CASES = {
     ],
     "frame-circuit edge": [
         ("frame-circuit edge cap exceeded (edges 21 > 20)", raised(enumerate_frame_circuits, halves(21))),
+        # S of 20 edges: each S + e has 21
+        ("frame-circuit edge cap exceeded (edges 21 > 20)",
+         raised(closure_by_circuits, halves(21), {f"h{i}" for i in range(20)})),
     ],
     "closed-set": [
         ("closed-set cap exceeded (edges 17 > 16)", raised(closed_sets, halves(17))),
@@ -263,6 +269,7 @@ def test_inputs_at_the_caps_pass(tmp_path):
     assert chromatic_via_expansion(SignedGraph(15, [])).degree == 15
     assert incidence_matrix(SignedGraph(2048, [])) == [[]] * 2048
     assert len(root_system("D", 32)) == 4 * 32 * 31 // 2
+    assert closure_by_circuits(halves(21), {f"h{i}" for i in range(19)}) == halves(21).edge_ids
     path = tmp_path / "path.sg"
     path.write_text("sg 1\nn 1\n" + "".join(f"half h{i} 1\n" for i in range(64)))
     assert sgtool(["info", str(path)]).returncode == 0
@@ -292,6 +299,23 @@ def test_routines_that_used_to_run_unbounded_stop_at_once():
     within_a_second(switching_isomorphic, SignedGraph(1500, []), SignedGraph(1500, []))
     within_a_second(SignedGraph, 10**11, [])
     within_a_second(parse, b"sg 1\nn 99999999999\n")
+
+
+# each of these built O(n^2) pairs, petals or nothing at all before it raised
+@pytest.mark.parametrize("call, message", [
+    (lambda: plus_minus_kn(10**11), "input-vertex cap exceeded (vertices 100000000000 > 1000000)"),
+    (lambda: plus_minus_kn_full(10**11), "input-vertex cap exceeded (vertices 100000000000 > 1000000)"),
+    (lambda: color_pair_capacity(10**11, []), "matching cap exceeded (vertices 100000000000 > 20)"),
+    (lambda: generalized_line_graph(2, [(0, 1)], [10**11, 0]),
+     "input-vertex cap exceeded (vertices 100000000002 > 1000000)"),
+    (lambda: root_system(None, 3), "unknown root system None"),
+], ids=["plus_minus_kn", "plus_minus_kn_full", "color_pair_capacity", "generalized_line_graph", "root_system"])
+def test_an_order_is_checked_before_anything_of_that_size_is_built(call, message):
+    start = time.perf_counter()
+    with pytest.raises(SgError) as exc:
+        call()
+    assert time.perf_counter() - start < 0.1
+    assert str(exc.value) == message
 
 
 def test_matrix_tree_on_64_links_exits_at_the_set_cap_and_answers_on_24(tmp_path):

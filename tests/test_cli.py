@@ -1,4 +1,6 @@
 import ast
+import contextlib
+import io
 import json
 import os
 import random
@@ -7,9 +9,9 @@ import sys
 
 import pytest
 
-from signedgraph import SgError, SignedGraph, enumerate_acyclic, link, serialize
+from signedgraph import SgError, SignedGraph, enumerate_acyclic, link, parse, serialize
 from signedgraph.cli import build_parser, run
-from conftest import cli_env, fixture_path
+from conftest import FIXTURES, cli_env, fixture_path, random_graph, scramble, seeded
 
 SIGMA4 = str(fixture_path("sigma4.sg"))
 
@@ -285,3 +287,50 @@ def test_a_closed_stdout_exits_1_without_a_traceback():
         os.close(write)
     assert r.returncode == 1
     assert r.stderr == ""
+
+
+def test_glinegraph_refuses_a_base_with_parallel_links(capsys):
+    # sigma4's links 1-4 + and 1-4 - are a digon: the generalized line graph
+    # of Cameron, Goethals, Seidel and Shult is defined on a simple base
+    assert run(["glinegraph", SIGMA4, "--m", "1,0,2,0"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == "error: base graph must be simple\n"
+
+
+# verbs whose output is an invariant of switching isomorphism; spectrum is
+# left out, as its floats may differ in the last place between relabellings
+INVARIANT_VERBS = [["chromatic"], ["chromatic", "--zero-free"], ["charpoly"], ["regions"], ["acyclic"],
+                   ["matrix-tree"]]
+
+
+def _graphs_and_scrambles():
+    """(id, g, scramble of g): the fixtures, then seeded random graphs."""
+    out = []
+    for name in sorted(os.listdir(FIXTURES)):
+        with open(os.path.join(FIXTURES, name), "rb") as fh:
+            out.append((name, parse(fh.read())))
+    out += [(f"random{seed}", random_graph(seeded(seed))) for seed in range(40)]
+    return [(name, g, scramble(g, seeded(1000 + i))[0]) for i, (name, g) in enumerate(out)]
+
+
+def _stdout(argv):
+    """sgtool's exit code and stdout for argv, run in process."""
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf), contextlib.redirect_stderr(io.StringIO()):
+        code = run(argv)
+    return code, buf.getvalue()
+
+
+SCRAMBLED = _graphs_and_scrambles()
+
+
+@pytest.mark.parametrize("name, g, h", SCRAMBLED, ids=[name for name, _, _ in SCRAMBLED])
+def test_invariant_verbs_print_the_same_bytes_for_a_scrambled_graph(name, g, h, tmp_path):
+    paths = []
+    for tag, graph in (("g", g), ("h", h)):
+        paths.append(tmp_path / f"{tag}.sg")
+        paths[-1].write_bytes(serialize(graph))
+    for verb, *options in INVARIANT_VERBS:
+        for fmt in ([], ["--json"]):
+            got = [_stdout([verb, str(path), *options, *fmt]) for path in paths]
+            assert got[0] == got[1], (verb, options, fmt)

@@ -175,6 +175,46 @@ def test_error_paths_raise_sgerror_naming_their_line(case, call, message):
         call()
 
 
+_DIGON = SignedGraph(2, [link("p", 0, 1, 1), link("m", 0, 1, -1)])
+
+# (case, call, SgError message): an input that a routine's own copy of an
+# input rule let through, or raised something else on
+LET_THROUGH = [
+    ("generalized_line_graph, a pair twice",
+     lambda: signedgraph.generalized_line_graph(2, [(0, 1), (1, 0)], [0, 0]), "base graph must be simple"),
+    ("construct_gramian, a +- digon", lambda: signedgraph.construct_gramian(_DIGON, 2),
+     "an angle representation's graph must be simple"),
+    ("root_system, n True", lambda: signedgraph.root_system("A", True), "n must be an int >= 1, got True"),
+    ("rational_rank, a long second row", lambda: signedgraph.rational_rank([[1], [2, 3]]),
+     "rank needs a rectangular matrix"),
+    ("rational_rank, a short second row", lambda: signedgraph.rational_rank([[1, 2], [3]]),
+     "rank needs a rectangular matrix"),
+    ("rational_nullity, a long second row", lambda: signedgraph.rational_nullity([[1], [2, 3]]),
+     "rank needs a rectangular matrix"),
+    ("spectrum, a short second row", lambda: signedgraph.spectrum([[1, 2], [3]]), "spectrum needs a square matrix"),
+    ("max_matching_size, an end out of range", lambda: signedgraph.coloring.max_matching_size(2, [(0, 5)]),
+     "vertex 5 out of range"),
+    ("color_pair_capacity, an end out of range", lambda: signedgraph.color_pair_capacity(2, [(0, 5)]),
+     "vertex 5 out of range"),
+    ("color_pair_capacity, a loop", lambda: signedgraph.color_pair_capacity(3, [(0, 0)]), "graph must be simple"),
+]
+
+
+@pytest.mark.parametrize("case, call, message", LET_THROUGH, ids=[c[0] for c in LET_THROUGH])
+def test_an_input_a_drifted_copy_let_through_raises_sg_error(case, call, message):
+    with pytest.raises(SgError) as exc:
+        call()
+    assert str(exc.value) == message
+
+
+def test_an_edge_list_that_is_read_twice_must_be_a_sequence():
+    # an iterator would reach the second reading empty: a wrong answer, not an error
+    for call in (lambda: signedgraph.generalized_line_graph(3, iter([(0, 1)]), [0, 0, 0]),
+                 lambda: signedgraph.catalog("all_positive", n=3, edge_list=iter([(0, 1)]))):
+        with pytest.raises(TypeError):
+            call()
+
+
 # the entry points that take a collection of edge ids
 EDGE_ID_TAKERS = [
     "balance_closure", "balance_partition", "closure", "closure_by_circuits", "components",

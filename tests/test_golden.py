@@ -110,7 +110,8 @@ CASES = {
     "catalog-pmknfull-3": ["catalog", "--family", "pmknfull", "--n", "3"],
     "linegraph-cycle30": ["linegraph", CYCLE30],
     "linegraph-cycle30-reduced": ["linegraph", CYCLE30, "--reduced"],
-    "glinegraph-sigma4": ["glinegraph", SIGMA4, "--m", "1,0,2,0"],
+    # a simple base: sigma4's +- digon 1-4 is refused (see test_cli.py)
+    "glinegraph-bridges13": ["glinegraph", BRIDGES13, "--m", "1,0,2,0,0,0,0,0,0,0,0,1,0,0"],
     "glinegraph-mixed7": ["glinegraph", MIXED7, "--m", "1,0,0,2,0,0,1"],
     "roots-A-3": ["roots", "--name", "A", "--n", "3"],
     "roots-B-3": ["roots", "--name", "B", "--n", "3"],

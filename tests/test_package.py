@@ -112,3 +112,48 @@ def test_no_module_imports_a_name_it_never_uses(module):
     assert sorted(bound - used - UNUSED_ON_PURPOSE.get(module, set())) == []
     if module in ("__init__",) + MODULES and module != "core":  # only core sets a record's slots
         assert "_set" not in bound
+
+
+def _row_length(node, rows):
+    """Whether node is len(r) or len(m[i]) for r in rows, a set of loop variables: a row's length."""
+    if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "len"):
+        return False
+    arg = node.args[0]
+    return isinstance(arg, ast.Subscript) or isinstance(arg, ast.Name) and arg.id in rows
+
+
+def _input_rule_copies(module):
+    """Where module writes an input rule that core or matrices owns: an int
+    check by `type(x) is not int`, a `must be an int >=` or `must be simple`
+    message, or, in matrices outside `_rows`, a comparison of a row's length."""
+    with open(SOURCES[module], encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    found = []
+    functions = [f for f in ast.walk(tree) if isinstance(f, (ast.FunctionDef, ast.AsyncFunctionDef))]
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Compare) and isinstance(node.ops[0], ast.IsNot):
+            left, right = node.left, node.comparators[0]
+            if (isinstance(left, ast.Call) and isinstance(left.func, ast.Name) and left.func.id == "type"
+                    and isinstance(right, ast.Name) and right.id == "int"):
+                found.append(f"line {node.lineno}: type(...) is not int")
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            for text in ("must be an int >=", "must be simple"):
+                if text in node.value:
+                    found.append(f"line {node.lineno}: {text!r}")
+    if module == "matrices":
+        for f in functions:
+            if f.name == "_rows":
+                continue
+            rows = {t.id for loop in ast.walk(f) if isinstance(loop, (ast.For, ast.comprehension))
+                    for t in ast.walk(loop.target) if isinstance(t, ast.Name)}
+            found += [f"line {node.lineno}: a row's length compared in {f.name}" for node in ast.walk(f)
+                      if isinstance(node, ast.Compare)
+                      and any(_row_length(x, rows) for x in [node.left, *node.comparators])]
+    return found
+
+
+@pytest.mark.parametrize("module", ("__init__",) + MODULES)
+def test_each_input_rule_is_written_once(module):
+    # counts, vertex sets and simple edge lists are checked in core
+    # (_count, _vertices, _pairs), matrix shapes in matrices._rows
+    assert module == "core" or _input_rule_copies(module) == []
