@@ -129,7 +129,6 @@ def _input_rule_copies(module):
     with open(SOURCES[module], encoding="utf-8") as fh:
         tree = ast.parse(fh.read())
     found = []
-    functions = [f for f in ast.walk(tree) if isinstance(f, (ast.FunctionDef, ast.AsyncFunctionDef))]
     for node in ast.walk(tree):
         if isinstance(node, ast.Compare) and isinstance(node.ops[0], ast.IsNot):
             left, right = node.left, node.comparators[0]
@@ -141,8 +140,8 @@ def _input_rule_copies(module):
                 if text in node.value:
                     found.append(f"line {node.lineno}: {text!r}")
     if module == "matrices":
-        for f in functions:
-            if f.name == "_rows":
+        for f in ast.walk(tree):
+            if not isinstance(f, ast.FunctionDef) or f.name == "_rows":
                 continue
             rows = {t.id for loop in ast.walk(f) if isinstance(loop, (ast.For, ast.comprehension))
                     for t in ast.walk(loop.target) if isinstance(t, ast.Name)}
@@ -152,8 +151,8 @@ def _input_rule_copies(module):
     return found
 
 
-@pytest.mark.parametrize("module", ("__init__",) + MODULES)
+@pytest.mark.parametrize("module", [m for m in ("__init__",) + MODULES if m != "core"])
 def test_each_input_rule_is_written_once(module):
     # counts, vertex sets and simple edge lists are checked in core
     # (_count, _vertices, _pairs), matrix shapes in matrices._rows
-    assert module == "core" or _input_rule_copies(module) == []
+    assert _input_rule_copies(module) == []
