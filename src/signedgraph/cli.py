@@ -11,7 +11,7 @@ returns (JSON payload, text lines), and prints the result with one `_emit`.
 
 Only `core` is imported with this module.  Each verb handler imports what it
 uses from the other submodules when it runs, so a launch loads just the
-modules of its verb, and numpy only for spectrum.
+modules of its verb; none loads numpy, as `spectrum` runs in pure Python.
 
 A launch also builds only what its verb uses: `build_parser` adds just the
 subparser of the verb named first on the command line (all of them for
@@ -352,10 +352,12 @@ def cmd_glinegraph(g, args):
         mult = [int(x) for x in args.m.split(",")]
     except ValueError:
         raise SgError(f"bad multiplicity list {args.m!r}") from None
-    links = _link_ends(g)
+    # the base is every edge of g: a half edge goes in as a loop at its vertex, a
+    # loose edge as one at vertex 0, and generalized_line_graph refuses a loop
+    ends = [(e.ends * 2 + (0, 0))[:2] for e in g.edges]
     # the petal graph is built from --m, not read: bound its edges before building it
-    core._cap("input-edge", len(links) + 2 * sum(mult), args.max_edges)
-    src, lam = generalized_line_graph(g.n, links, mult)
+    core._cap("input-edge", len(ends) + 2 * sum(mult), args.max_edges)
+    src, lam = generalized_line_graph(g.n, ends, mult)
     red = reduced_line_graph(src).graph
     iso = switching_isomorphic(red, lam) is not None
     (out1, line1), (out2, line2) = _graph_text(src), _graph_text(lam)
@@ -444,7 +446,7 @@ VERBS = {
         _arg("--k", type=int, default=None),
     ]),
     "catalog": (cmd_catalog, [
-        _arg("input", nargs="?", default=None),
+        _arg("input", nargs="?", default=None, help="sg 1 file: all of it for full and fullloops, else its links"),
         _arg("--family", required=True),
         _arg("--n", type=int, default=None),
     ]),

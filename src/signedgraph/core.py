@@ -53,6 +53,7 @@ CAPS = {
     "matrix-tree set": (1 << 20, "n-edge sets"),  # matrix_tree's walk over C(m, n) edge sets
     "matching": (20, "vertices"),  # coloring.max_matching_size, so color_pair_capacity
     "dense-matrix": (2048, "vertices"),  # adjacency, degree and incidence matrices, so laplacian
+    "spectrum block": (128, "vertices"),  # matrices.spectrum, per block of the nonzero pattern
     "deletion-contraction": (20_000, "states"),  # coloring._delcon's memo
     # coloring._delcon's recursion depth: a tracer that wraps it in two more
     # functions makes a level cost three frames, 3 * 257 of the default 1000

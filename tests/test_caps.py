@@ -46,6 +46,7 @@ from signedgraph import (
     region_witness_point,
     root_system,
     serialize,
+    spectrum,
     switching_isomorphic,
 )
 from signedgraph.core import CAPS
@@ -206,6 +207,11 @@ CASES = {
         ("dense-matrix cap exceeded (vertices 2049 > 2048)", raised(laplacian, SignedGraph(2049, []))),
         ("dense-matrix cap exceeded (vertices 2049 > 2048)", exits_1("matrix", "sg 1\nn 2049\n")),
     ],
+    "spectrum block": [  # a path is one block of the nonzero pattern
+        ("spectrum block cap exceeded (vertices 129 > 128)", raised(spectrum, adjacency_matrix(long_path(129)))),
+        ("spectrum block cap exceeded (vertices 129 > 128)",
+         exits_1("spectrum", serialize(long_path(129)).decode(), "--max-edges", "128")),
+    ],
     "deletion-contraction": [
         ("deletion-contraction cap exceeded (states 20001 > 20000)", raised(chromatic_poly_delcon, links64(1))),
     ],
@@ -268,6 +274,7 @@ def test_inputs_at_the_caps_pass(tmp_path):
     assert chromatic_poly_delcon(long_path(257)).degree == 257
     assert chromatic_via_expansion(SignedGraph(15, [])).degree == 15
     assert incidence_matrix(SignedGraph(2048, [])) == [[]] * 2048
+    assert len(spectrum(adjacency_matrix(long_path(128)))) == 128
     assert len(root_system("D", 32)) == 4 * 32 * 31 // 2
     assert closure_by_circuits(halves(21), {f"h{i}" for i in range(19)}) == halves(21).edge_ids
     path = tmp_path / "path.sg"
@@ -366,6 +373,27 @@ def test_dense_matrix_verbs_on_20000_vertices_exit_at_the_dense_matrix_cap(tmp_p
         assert time.perf_counter() - start < 2.0, argv
         assert r.returncode == 1 and r.stdout == "", argv
         assert r.stderr == "error: dense-matrix cap exceeded (vertices 20000 > 2048)\n", argv
+
+
+def test_spectrum_stops_at_the_block_cap_before_any_rotation():
+    a = laplacian(complete(129))
+    start = time.perf_counter()
+    with pytest.raises(SgError) as exc:
+        spectrum(a)
+    assert time.perf_counter() - start < 0.1
+    assert str(exc.value) == "spectrum block cap exceeded (vertices 129 > 128)"
+
+
+def test_spectrum_of_2048_vertices_and_64_links_answers_within_a_second(tmp_path):
+    path = tmp_path / "wide.sg"
+    rng = random.Random(30)
+    pairs = sorted({tuple(sorted(rng.sample(range(2048), 2))) for _ in range(64)})
+    path.write_bytes(serialize(SignedGraph(2048, [link(f"e{i}", u, v, rng.choice((1, -1)))
+                                                  for i, (u, v) in enumerate(pairs)])))
+    start = time.perf_counter()
+    r = sgtool(["spectrum", str(path)])
+    assert time.perf_counter() - start < 1.0
+    assert r.returncode == 0 and len(r.stdout.split(", ")) == 2048
 
 
 def test_catalog_all_negative_on_24_links_exits_at_the_closed_set_cap(tmp_path):

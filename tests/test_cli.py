@@ -215,27 +215,22 @@ def loaded_after_each(module, calls):
     return ast.literal_eval(r.stdout.decode().splitlines()[-1])
 
 
-def numpy_after_each(calls):
-    return dict(zip((verb for verb, _ in calls), loaded_after_each("numpy", calls)))
-
-
-def test_numpy_loads_only_for_spectrum(tmp_path):
-    inv = invocations(tmp_path)
-    plain = sorted((verb, extra) for verb, extra in inv.items() if verb != "spectrum")
-    loaded = numpy_after_each(plain + [("spectrum", inv["spectrum"])])
-    assert loaded == {verb: False for verb, _ in plain} | {"spectrum": True}
+def test_no_verb_loads_numpy(tmp_path):
+    calls = [(verb, [*extra, *flag]) for flag in ([], ["--json"])
+             for verb, extra in sorted(invocations(tmp_path).items())]
+    calls += [("spectrum", [SIGMA4, "--which", "laplacian"])]
+    assert loaded_after_each("numpy", calls) == [False] * len(calls)
 
 
 def test_no_verb_loads_dataclasses_or_inspect(tmp_path):
-    # spectrum is left out here and below: numpy's own imports, inspect among them, are not the library's
     calls = [(verb, [*extra, *flag]) for flag in ([], ["--json"])
-             for verb, extra in sorted(invocations(tmp_path).items()) if verb != "spectrum"]
+             for verb, extra in sorted(invocations(tmp_path).items())]
     for module in ("dataclasses", "inspect"):
         assert loaded_after_each(module, calls) == [False] * len(calls), module
 
 
 def test_json_loads_only_for_json_output(tmp_path):
-    text = [(verb, extra) for verb, extra in sorted(invocations(tmp_path).items()) if verb != "spectrum"]
+    text = sorted(invocations(tmp_path).items())
     calls = text + [("balance", [SIGMA4, "--json"])]
     assert loaded_after_each("json", calls) == [False] * len(text) + [True]
 
@@ -297,10 +292,27 @@ def test_glinegraph_refuses_a_base_with_parallel_links(capsys):
     assert captured.out == "" and captured.err == "error: base graph must be simple\n"
 
 
-# verbs whose output is an invariant of switching isomorphism; spectrum is
-# left out, as its floats may differ in the last place between relabellings
+def test_glinegraph_refuses_a_base_with_a_loop_half_edge_or_loose_edge(tmp_path, capsys):
+    # mixed7 and bridges13 have loops, a half edge and a loose edge: their links
+    # alone are simple, but the base is all of the graph
+    for name, m in (("mixed7.sg", "1,0,0,2,0,0,1"), ("bridges13.sg", "1,0,2,0,0,0,0,0,0,0,0,1,0,0")):
+        assert run(["glinegraph", fixture_path(name), "--m", m]) == 1, name
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == "error: base graph must be simple\n", name
+    for line in ("edge l 1 1 -", "half h 1", "loose z"):
+        path = tmp_path / "base.sg"
+        path.write_text(f"sg 1\nn 2\nedge a 1 2 +\n{line}\n")
+        assert run(["glinegraph", str(path), "--m", "1,0"]) == 1, line
+        assert capsys.readouterr().err == "error: base graph must be simple\n", line
+    path.write_text("sg 1\nn 2\nedge a 1 2 +\n")
+    assert run(["glinegraph", str(path), "--m", "1,0"]) == 0
+
+
+# verbs whose output is an invariant of switching isomorphism; a spectrum's
+# irrational values are floats, printed to 12 digits, that Jacobi's method
+# gives within about 1e-14 in any vertex order, and its integers are exact
 INVARIANT_VERBS = [["chromatic"], ["chromatic", "--zero-free"], ["charpoly"], ["regions"], ["acyclic"],
-                   ["matrix-tree"]]
+                   ["matrix-tree"], ["spectrum"], ["spectrum", "--which", "laplacian"]]
 
 
 def _graphs_and_scrambles():

@@ -1,7 +1,8 @@
 from fractions import Fraction
 from itertools import combinations, permutations
 
-import numpy as np
+import time
+
 import pytest
 
 from signedgraph import (
@@ -154,7 +155,12 @@ def test_rational_rank_basics(sigma4):
     tree = SignedGraph(4, [link("a", 0, 1, 1), link("b", 1, 2, 1), link("c", 2, 3, 1)])
     assert rational_rank(incidence_matrix(tree)) == 3
     assert rational_nullity(incidence_matrix(tree)) == 0
-    assert rational_rank(np.array([[1, 2], [2, 4]])) == rational_rank([[0.5, 1.5], [1.0, 3]]) == 1
+    assert rational_rank([[0.5, 1.5], [1.0, 3]]) == 1
+
+
+def test_rational_rank_of_numpy_ints():
+    np = pytest.importorskip("numpy")
+    assert rational_rank(np.array([[1, 2], [2, 4]])) == 1
 
 
 def test_rank_law_random():
@@ -281,6 +287,40 @@ def test_spectrum_switching_invariant(sigma4):
     ev1 = spectrum(adjacency_matrix(sigma4))
     ev2 = spectrum(adjacency_matrix(switch_set(sigma4, [1, 2])))
     assert all(abs(a - b) < 1e-9 for a, b in zip(ev1, ev2))
+
+
+def test_spectrum_integer_eigenvalues_are_exact():
+    # P_3 has 0 once and C_4 has 0 twice: LAPACK printed residues like -8e-17 for them
+    path = SignedGraph(3, [link("a", 0, 1, 1), link("b", 1, 2, 1)])
+    square = SignedGraph(4, [link(f"e{i}", i, (i + 1) % 4, 1) for i in range(4)])
+    assert spectrum(adjacency_matrix(square)) == [-2.0, 0.0, 0.0, 2.0]
+    ev = spectrum(adjacency_matrix(path))
+    assert ev[1] == 0.0 and str(ev[1]) == "0.0" and abs(ev[2] - 2 ** 0.5) < 1e-14
+    assert spectrum(laplacian(square)) == [0.0, 2.0, 2.0, 4.0]
+    assert spectrum([]) == []
+
+
+def test_spectrum_splits_the_matrix_into_blocks():
+    # two blocks, {0, 2} and {1, 3}, interleaved; and a zero row
+    m = [[0, 0, 1, 0, 0], [0, 1, 0, 2, 0], [1, 0, 0, 0, 0], [0, 2, 1, 0, 0], [0] * 5]
+    with pytest.raises(SgError, match="spectrum needs a symmetric matrix"):
+        spectrum(m)
+    m[3][2] = 0
+    ev = spectrum(m)
+    assert ev[1:4] == [-1.0, 0.0, 1.0] and abs(ev[0] - (1 - 17 ** 0.5) / 2) < 1e-14
+    assert abs(ev[4] - (1 + 17 ** 0.5) / 2) < 1e-14
+
+
+def test_spectrum_of_a_65_vertex_block_answers_within_0_3_s():
+    # a tree on 65 vertices: the largest block under sgtool's 64-edge cap
+    rng = seeded(30)
+    tree = SignedGraph(65, [link(f"e{v}", v, rng.randrange(v), rng.choice((1, -1))) for v in range(1, 65)])
+    for matrix in (adjacency_matrix, laplacian):
+        a = matrix(tree)
+        start = time.perf_counter()
+        ev = spectrum(a)
+        assert time.perf_counter() - start < 0.3, matrix.__name__
+        assert abs(sum(ev) - sum(a[i][i] for i in range(65))) < 1e-9
 
 
 def test_minimal_dependent_column_sets_are_frame_circuits():

@@ -7,8 +7,10 @@ renaming and switching together change no invariant of switching
 isomorphism, switching equivalence is the search over all switchings,
 contraction takes rank(S) off every rank, every reading of the edge vector
 and of the signed circles agrees with its definition, closure obeys the
-closure axioms, and each walk over edge subsets on the undoable union-find
-equals its per-subset recomputation.
+closure axioms, each walk over edge subsets on the undoable union-find
+equals its per-subset recomputation, and the spectrum prints each integer
+eigenvalue exactly, as often as the nullity at it says, and keeps the trace
+identities (and agrees with LAPACK where numpy is installed).
 
 Runs are derandomized, so every run tries the same examples."""
 
@@ -63,9 +65,11 @@ from signedgraph import (
     orient,
     parse,
     rank,
+    rational_nullity,
     region_count,
     region_witness_point,
     serialize,
+    spectrum,
     switch,
     switch_set,
     switching_equivalent,
@@ -547,3 +551,38 @@ def test_union_find_tracks_b_and_rank_and_undo_restores_its_state(data, g):
         uf.undo()
         added.pop()
     assert union_find_state(uf) == states[0]
+
+
+def printed(values):
+    """Eigenvalues as sgtool prints them, to 12 significant digits."""
+    return [f"{x:.12g}" for x in values]
+
+
+@PROPERTY
+@given(graphs(n_max=9, m_max=16), st.sampled_from((adjacency_matrix, laplacian)))
+def test_spectrum_prints_integer_eigenvalues_exactly_and_keeps_the_traces(g, matrix):
+    a = matrix(g)
+    ev = spectrum(a)
+    text = printed(ev)
+    assert len(ev) == g.n and ev == sorted(ev) and "-0" not in text
+    # every eigenvalue lies within the largest absolute row sum (Gershgorin)
+    bound = max((sum(map(abs, row)) for row in a), default=0)
+    for k in range(-bound, bound + 1):
+        shifted = [[x - k if i == j else x for j, x in enumerate(row)] for i, row in enumerate(a)]
+        assert text.count(str(k)) == rational_nullity(shifted), k
+    frobenius = sum(x * x for row in a for x in row)  # tr A^2, as A is symmetric
+    assert abs(sum(ev) - sum(a[i][i] for i in range(g.n))) <= 1e-9 * (1 + frobenius)
+    assert abs(sum(x * x for x in ev) - frobenius) <= 1e-9 * (1 + frobenius)
+
+
+def test_spectrum_agrees_with_lapack():
+    np = pytest.importorskip("numpy")
+
+    @PROPERTY
+    @given(graphs(n_max=9, m_max=16), st.sampled_from((adjacency_matrix, laplacian)))
+    def agrees(g, matrix):
+        a = matrix(g)
+        lapack = np.linalg.eigvalsh(np.array(a, dtype=float)) if g.n else []
+        assert all(abs(x - y) <= 1e-9 for x, y in zip(spectrum(a), lapack))
+
+    agrees()
