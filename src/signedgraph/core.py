@@ -21,7 +21,8 @@ which set their own slots here (see `_Record`).
 Inputs: a wrong value, a bad shape or an order over a cap raises SgError
 naming it, as does a count or a vertex that is not an int; any other wrong type
 raises TypeError.  Each rule is written once: `_count`, `_vertices`, `_pairs`
-(a simple edge list), `_ids`, `_cap` and `matrices._rows`.
+(a simple edge list), `_ids`, `_cap` and `matrices._rows` (a matrix's shape
+and entries).
 
 `_UndoableUnionFind` is the library's one union-find.  The walks over edge
 subsets (`oracles.chromatic_poly_subset`, `frame.closed_sets`,
@@ -52,7 +53,7 @@ CAPS = {
     "matrix-tree": (8, "vertices"),  # matrix_tree
     "matrix-tree set": (1 << 20, "n-edge sets"),  # matrix_tree's walk over C(m, n) edge sets
     "matching": (20, "vertices"),  # coloring.max_matching_size, so color_pair_capacity
-    "dense-matrix": (2048, "vertices"),  # adjacency, degree and incidence matrices, so laplacian
+    "dense-matrix": (2048, "vertices"),  # matrices._dense: the graph matrices, line_adjacency_identity
     "spectrum block": (128, "vertices"),  # matrices.spectrum, per block of the nonzero pattern
     "deletion-contraction": (20_000, "states"),  # coloring._delcon's memo
     # coloring._delcon's recursion depth: a tracer that wraps it in two more
@@ -105,11 +106,12 @@ def _vertices(n, vs):
 
 def _pairs(n, edge_list, what):
     """edge_list, a sequence of (u, v), as sorted pairs of `_vertices` with no loop or
-    pair twice, else SgError.  An iterator raises TypeError, as callers read edge_list again."""
+    pair twice, else SgError; a loop is named before its range.  An iterator
+    raises TypeError, as callers read edge_list again."""
     pairs = [(u, v) if u < v else (v, u) for u, v in edge_list]
-    _vertices(n, (v for p in pairs for v in p))
     if any(u == v for u, v in pairs) or len(set(pairs)) < len(edge_list):
         raise SgError(f"{what} must be simple")
+    _vertices(n, (v for p in pairs for v in p))
     return pairs
 
 

@@ -11,7 +11,7 @@ factors a partial map forces live on `core._UndoableUnionFind`.
 from __future__ import annotations
 
 from .core import Edge, SgError, SignedGraph, _LINK, _LOOP, _Record, _UndoableUnionFind, _cap, _count, _pairs, link
-from .matrices import adjacency_matrix, reduce as reduce_graph
+from .matrices import _dense, adjacency_matrix, reduce as reduce_graph
 from .orientation import BidirectedGraph, orient
 
 
@@ -71,23 +71,17 @@ def reduced_line_graph(g) -> LineGraphResult:
 
 def line_adjacency_identity(g):
     """(A(line graph), 2I - H^T H) with the incidence H built from the shared
-    orientation; the two are equal entrywise."""
+    orientation; the two are equal entrywise.  H^T H sums, for each vertex v,
+    the products of the entries in row v of H."""
     b = _as_bidirected(g)
     src = b.graph
-    res = line_graph(b)
-    a = adjacency_matrix(res.graph)
+    a = adjacency_matrix(line_graph(b).graph)
     m = len(src.edges)
-    h = [
-        [b.eta(v, e.id) for e in src.edges] for v in range(src.n)
-    ]
-    hth = [
-        [sum(h[v][i] * h[v][j] for v in range(src.n)) for j in range(m)]
-        for i in range(m)
-    ]
-    rhs = [
-        [(2 if i == j else 0) - hth[i][j] for j in range(m)] for i in range(m)
-    ]
-    return a, rhs
+    at = [[] for _ in range(src.n)]  # row v of H: (column, eta) of each source edge at v
+    for j, e in enumerate(src.edges):
+        for v in e.ends:  # a link: two distinct ends
+            at[v].append((j, b.eta(v, e.id)))
+    return a, _dense(m, m, [(j, j, 2) for j in range(m)] + [(i, j, -x * y) for h in at for i, x in h for j, y in h])
 
 
 def harary_norman(g) -> LineGraphResult:

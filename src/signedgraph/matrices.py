@@ -1,9 +1,12 @@
 """Exact edge vectors, incidence/adjacency/Laplacian matrices, rational rank,
 the signed Matrix-Tree identity, and floating-point spectra.
 
-Matrices are plain nested lists of Python ints (exact, arbitrary precision);
-rank and determinant share one fraction-free elimination, and rank first
-scales a rational matrix's rows to integers.  The canonical column sign
+Matrices are plain nested lists of Python ints (exact, arbitrary precision).
+The graph matrices fill one builder, `_dense`, from (row, column, entry)
+triples: the Laplacian from the edge vectors' outer products, L = H H^T, with
+no D or A built.  A matrix argument meets one entry rule, `_rows`.  Rank and
+determinant share one fraction-free elimination, and rank first scales a
+rational matrix's rows to integers.  The canonical column sign
 fixes the ambiguity the theory leaves open: the lower endpoint of a link gets
 entry +1, a half edge gets +1, a negative loop +2 (`core._edge_vector`).
 The matrix-tree count walks the independent n-edge sets depth first on
@@ -16,12 +19,14 @@ nullity.  This module depends only on `core`.
 from __future__ import annotations
 
 from itertools import compress
-from math import comb, lcm, sqrt
+from math import comb, inf, lcm, sqrt
+from numbers import Rational, Real
 from operator import attrgetter
+from sys import float_info
 
 from .core import (
     SgError, SignedGraph, _HALF, _LINK, _LOOP, _LOOSE, _Record, _UndoableUnionFind, _cap, _edge_vector, _frame_edge,
-    _graph,
+    _graph, _groups, _switching_bfs,
 )
 
 
@@ -36,21 +41,22 @@ def incidence_matrix(g: SignedGraph):
     return incidence_columns(g, g.edge_ids)
 
 
+def _dense(n, width, entries):
+    """The n x width int matrix that sums each (i, j, x) of entries into a[i][j]:
+    the one builder of the graph matrices, so the one dense-matrix cap check."""
+    _cap("dense-matrix", n)
+    a = [[0] * width for _ in range(n)]
+    for i, j, x in entries:
+        a[i][j] += x
+    return a
+
+
 def adjacency_matrix(g: SignedGraph):
     """Symmetric n x n: off-diagonal (#positive - #negative links between the
-    pair); diagonal counts half edges plus twice the signed loop excess."""
-    _cap("dense-matrix", g.n)
-    a = [[0] * g.n for _ in range(g.n)]
-    for e in g.edges:
-        if e.kind is _LINK:
-            u, v = e.ends
-            a[u][v] += e.sign
-            a[v][u] += e.sign
-        elif e.kind is _LOOP:
-            a[e.ends[0]][e.ends[0]] += 2 * e.sign
-        elif e.kind is _HALF:
-            a[e.ends[0]][e.ends[0]] += 1
-    return a
+    pair); diagonal counts half edges plus twice the signed loop excess.  A
+    link or loop adds its sign at (u, v) and at (v, u), a half edge 1 at (u, u)."""
+    entries = [(u, v, e.sign) for e in g.edges if e.is_ordinary for u, v in (e.ends, e.ends[::-1])]
+    return _dense(g.n, g.n, entries + [(e.ends[0], e.ends[0], 1) for e in g.edges if e.kind is _HALF])
 
 
 def degree_matrix(g: SignedGraph):
@@ -62,23 +68,14 @@ def degree_matrix(g: SignedGraph):
     diagonal also gains 1, so the degree side must carry 2.  (A convention
     counting half edges once breaks both that identity and the matrix-tree
     determinant identity whenever half edges are present.)"""
-    _cap("dense-matrix", g.n)
-    diag = [0] * g.n
-    for e in g.edges:
-        for v in e.ends:
-            diag[v] += 1
-        if e.kind is _HALF:
-            diag[e.ends[0]] += 1
-    return [
-        [diag[v] if v == w else 0 for w in range(g.n)] for v in range(g.n)
-    ]
+    return _dense(g.n, g.n, [(v, v, 2 if e.kind is _HALF else 1) for e in g.edges for v in e.ends])
 
 
 def laplacian(g: SignedGraph):
-    """L = D - A; equals H H^T entrywise."""
-    a = adjacency_matrix(g)
-    d = degree_matrix(g)
-    return [[d[i][j] - a[i][j] for j in range(g.n)] for i in range(g.n)]
+    """L = H H^T, the sum of the outer products x(e) x(e)^T of the edge
+    vectors, in one pass over the edges; it equals D - A entrywise."""
+    vectors = [_edge_vector(e) for e in g.edges]
+    return _dense(g.n, g.n, [(u, v, x * y) for vec in vectors for u, x in vec for v, y in vec])
 
 
 def reduce(g: SignedGraph) -> SignedGraph:
@@ -104,12 +101,22 @@ def reduce(g: SignedGraph) -> SignedGraph:
     })
 
 
-def _rows(m, need, square=False):
-    """m's rows as lists of one length, len(m) if square, else SgError saying what need needs."""
+def _rows(m, need, square=False, floats=False):
+    """m's rows as lists of one length, len(m) if square, each entry a real
+    number, finite and, if floats, within float range.  A bad shape or value
+    raises SgError saying what need needs, an entry that is not a number
+    TypeError.  The entries equal to 0 are counted in C, and each other value
+    is checked once: a wide graph's matrix is mostly zero rows."""
     rows = [list(row) for row in m]
     width = len(rows) if square or not rows else len(rows[0])
     if any(len(row) != width for row in rows):
         raise SgError(f"{need} needs a {'square' if square else 'rectangular'} matrix")
+    limit = float_info.max if floats else inf
+    for x in set().union(*(row for row in rows if row.count(0) < width)):
+        if not isinstance(x, Real):
+            raise TypeError(f"{need} needs real number entries, got {type(x).__name__}")
+        if not abs(x) < limit:  # also NaN
+            raise SgError(f"{need} needs finite entries{' within float range' if floats else ''}")
     return rows
 
 
@@ -142,10 +149,10 @@ def _eliminate(a):
 
 def rational_rank(m) -> int:
     """Exact rank of a matrix of rationals (ints, Fractions, numpy ints) or
-    floats, each row scaled to integers by the lcm of its denominators."""
+    finite floats, each row scaled to integers by the lcm of its denominators."""
     a = []
     for row in _rows(m, "rank"):
-        ratios = [x.as_integer_ratio() if isinstance(x, float) else (x.numerator, x.denominator) for x in row]
+        ratios = [(x.numerator, x.denominator) if isinstance(x, Rational) else x.as_integer_ratio() for x in row]
         d = lcm(*(q for _, q in ratios))
         a.append([p * (d // q) for p, q in ratios])
     return _eliminate(a)[0]
@@ -168,9 +175,8 @@ def bareiss_determinant(m) -> int:
 
 def incidence_columns(g: SignedGraph, s):
     """Incidence submatrix restricted to the columns of s (edge order)."""
-    _cap("dense-matrix", g.n)
-    cols = [dict(_edge_vector(e)) for e in g.restricted(s)]
-    return [[col.get(v, 0) for col in cols] for v in range(g.n)]
+    cols = g.restricted(s)
+    return _dense(g.n, len(cols), [(v, j, x) for j, e in enumerate(cols) for v, x in _edge_vector(e)])
 
 
 class MatrixTreeReport(_Record):
@@ -253,26 +259,18 @@ def spectrum(m):
     """Eigenvalues of a symmetric integer matrix, ascending, as floats.
 
     `_jacobi` runs on each block, a connected component of the nonzero
-    pattern, whose order the spectrum block cap bounds before any rotation;
+    pattern as core's `_switching_bfs` finds it, whose order the spectrum block cap bounds before any rotation;
     its values lie within about 1e-14 of the exact ones (Demmel and Veselic,
     1992).  An integer k within 1e-6 of a block's value is exact: the block's
     rational nullity at k says how many of the nearest values become k, so 0
     is 0.0, never -0.0 or 1e-17."""
-    rows = _rows(m, "spectrum", square=True)
+    rows = _rows(m, "spectrum", square=True, floats=True)
     n, columns = len(rows), list(range(len(rows)))
     # a zero row, most rows of a wide graph's matrix, is found by count in C
     nonzero = [list(compress(columns, row)) if row.count(0) < n else [] for row in rows]
     if any(rows[j][i] != rows[i][j] for i, js in enumerate(nonzero) for j in js):
         raise SgError("spectrum needs a symmetric matrix")
-    blocks, seen = [], set()
-    for v in columns:
-        if v not in seen:
-            blocks.append([v])
-            seen.add(v)
-            for i in blocks[-1]:  # breadth first: the list grows as it is read
-                fresh = [j for j in nonzero[i] if j not in seen]
-                seen.update(fresh)
-                blocks[-1] += fresh
+    blocks = _groups(_switching_bfs(nonzero, ())[1])
     _cap("spectrum block", max(map(len, blocks), default=0))
     values = []
     for block in blocks:

@@ -384,16 +384,29 @@ def test_spectrum_stops_at_the_block_cap_before_any_rotation():
     assert str(exc.value) == "spectrum block cap exceeded (vertices 129 > 128)"
 
 
-def test_spectrum_of_2048_vertices_and_64_links_answers_within_a_second(tmp_path):
-    path = tmp_path / "wide.sg"
+def wide2048():
+    """2,048 vertices and 64 random signed links: a wide graph of mostly zero rows."""
     rng = random.Random(30)
     pairs = sorted({tuple(sorted(rng.sample(range(2048), 2))) for _ in range(64)})
-    path.write_bytes(serialize(SignedGraph(2048, [link(f"e{i}", u, v, rng.choice((1, -1)))
-                                                  for i, (u, v) in enumerate(pairs)])))
+    return SignedGraph(2048, [link(f"e{i}", u, v, rng.choice((1, -1))) for i, (u, v) in enumerate(pairs)])
+
+
+def test_spectrum_of_2048_vertices_and_64_links_answers_within_a_second(tmp_path):
+    path = tmp_path / "wide.sg"
+    path.write_bytes(serialize(wide2048()))
     start = time.perf_counter()
     r = sgtool(["spectrum", str(path)])
     assert time.perf_counter() - start < 1.0
     assert r.returncode == 0 and len(r.stdout.split(", ")) == 2048
+
+
+def test_laplacian_and_degree_matrix_of_2048_vertices_and_64_links_answer_within_0_2_s():
+    # each is one pass over the edges into one n x n list, with no D or A built for L
+    g = wide2048()
+    for fn in (laplacian, degree_matrix):
+        start = time.perf_counter()
+        fn(g)
+        assert time.perf_counter() - start < 0.2, fn.__name__
 
 
 def test_catalog_all_negative_on_24_links_exits_at_the_closed_set_cap(tmp_path):

@@ -299,11 +299,14 @@ def test_glinegraph_refuses_a_base_with_a_loop_half_edge_or_loose_edge(tmp_path,
         assert run(["glinegraph", fixture_path(name), "--m", m]) == 1, name
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err == "error: base graph must be simple\n", name
-    for line in ("edge l 1 1 -", "half h 1", "loose z"):
-        path = tmp_path / "base.sg"
-        path.write_text(f"sg 1\nn 2\nedge a 1 2 +\n{line}\n")
-        assert run(["glinegraph", str(path), "--m", "1,0"]) == 1, line
-        assert capsys.readouterr().err == "error: base graph must be simple\n", line
+    cases = [(f"sg 1\nn 2\nedge a 1 2 +\n{line}\n", "1,0") for line in ("edge l 1 1 -", "half h 1", "loose z")]
+    # a loose edge goes in as a loop at vertex 0: a loop, even where there is no vertex 0
+    cases.append(("sg 1\nn 0\nloose z\n", "0"))
+    path = tmp_path / "base.sg"
+    for text, m in cases:
+        path.write_text(text)
+        assert run(["glinegraph", str(path), "--m", m]) == 1, text
+        assert capsys.readouterr().err == "error: base graph must be simple\n", text
     path.write_text("sg 1\nn 2\nedge a 1 2 +\n")
     assert run(["glinegraph", str(path), "--m", "1,0"]) == 0
 

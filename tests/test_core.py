@@ -192,6 +192,19 @@ LET_THROUGH = [
     ("rational_nullity, a long second row", lambda: signedgraph.rational_nullity([[1], [2, 3]]),
      "rank needs a rectangular matrix"),
     ("spectrum, a short second row", lambda: signedgraph.spectrum([[1, 2], [3]]), "spectrum needs a square matrix"),
+    ("rational_rank, a NaN entry", lambda: signedgraph.rational_rank([[1, float("nan")]]), "rank needs finite entries"),
+    ("rational_nullity, an infinite entry", lambda: signedgraph.rational_nullity([[float("-inf")], [1]]),
+     "rank needs finite entries"),
+    ("bareiss_determinant, an infinite entry", lambda: signedgraph.bareiss_determinant([[float("inf")]]),
+     "determinant needs finite entries"),
+    ("bareiss_determinant, a NaN entry", lambda: signedgraph.bareiss_determinant([[1, 0], [0, float("nan")]]),
+     "determinant needs finite entries"),
+    ("spectrum, an infinite entry", lambda: signedgraph.spectrum([[float("inf"), 1], [1, 0]]),
+     "spectrum needs finite entries within float range"),
+    ("spectrum, a NaN entry", lambda: signedgraph.spectrum([[0, 1], [1, float("nan")]]),
+     "spectrum needs finite entries within float range"),
+    ("spectrum, an int beyond float range", lambda: signedgraph.spectrum([[10**400, 1], [1, 0]]),
+     "spectrum needs finite entries within float range"),
     ("max_matching_size, an end out of range", lambda: signedgraph.coloring.max_matching_size(2, [(0, 5)]),
      "vertex 5 out of range"),
     ("color_pair_capacity, an end out of range", lambda: signedgraph.color_pair_capacity(2, [(0, 5)]),
@@ -205,6 +218,13 @@ def test_an_input_a_drifted_copy_let_through_raises_sg_error(case, call, message
     with pytest.raises(SgError) as exc:
         call()
     assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("name", ["rational_rank", "rational_nullity", "bareiss_determinant", "spectrum"])
+@pytest.mark.parametrize("entry", ["1", None, 1j])
+def test_a_matrix_entry_that_is_not_a_real_number_raises_type_error(name, entry):
+    with pytest.raises(TypeError, match=f"needs real number entries, got {type(entry).__name__}$"):
+        getattr(signedgraph, name)([[0, entry], [entry, 0]])
 
 
 def test_an_edge_list_that_is_read_twice_must_be_a_sequence():

@@ -161,6 +161,9 @@ def test_rational_rank_basics(sigma4):
 def test_rational_rank_of_numpy_ints():
     np = pytest.importorskip("numpy")
     assert rational_rank(np.array([[1, 2], [2, 4]])) == 1
+    assert bareiss_determinant(np.array([[1, 2], [3, 4]])) == -2
+    assert spectrum(np.array([[0, 1], [1, 0]])) == [-1.0, 1.0]
+    assert rational_rank([[np.float32(1.5), np.int8(3)]]) == 1
 
 
 def test_rank_law_random():

@@ -156,3 +156,33 @@ def test_each_input_rule_is_written_once(module):
     # counts, vertex sets and simple edge lists are checked in core
     # (_count, _vertices, _pairs), matrix shapes in matrices._rows
     assert _input_rule_copies(module) == []
+
+
+def _dense_builder_copies(module):
+    """Where module, outside `matrices._dense`, checks the dense-matrix cap
+    or, in matrices, builds a list of lists with a row per number of a range."""
+    with open(SOURCES[module], encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    builder = {id(node) for f in ast.walk(tree) if module == "matrices"
+               and isinstance(f, ast.FunctionDef) and f.name == "_dense" for node in ast.walk(f)}
+    found = []
+    for node in ast.walk(tree):
+        if id(node) in builder:
+            continue
+        if (isinstance(node, ast.Call) and getattr(node.func, "id", getattr(node.func, "attr", None)) == "_cap"
+                and node.args and getattr(node.args[0], "value", None) == "dense-matrix"):
+            found.append(f"line {node.lineno}: a dense-matrix cap check")
+        elif (module == "matrices" and isinstance(node, ast.ListComp)
+              and (isinstance(node.elt, ast.ListComp) or isinstance(node.elt, ast.BinOp) and ast.List in
+                   {type(node.elt.left), type(node.elt.right)})
+              and any(isinstance(g.iter, ast.Call) and getattr(g.iter.func, "id", None) == "range"
+                      for g in node.generators)):
+            found.append(f"line {node.lineno}: a list of lists over a range")
+    return found
+
+
+@pytest.mark.parametrize("module", ("__init__",) + MODULES)
+def test_the_graph_matrices_have_one_dense_builder(module):
+    # the adjacency, degree, incidence and Laplacian matrices, and the line
+    # graph's 2I - H^T H, are filled by matrices._dense, the one dense-matrix cap site
+    assert _dense_builder_copies(module) == []
