@@ -12,7 +12,7 @@ import math
 from fractions import Fraction
 from itertools import product
 
-from .core import SgError, SignedGraph, _LINK, _Record, _cap, _count, _pairs
+from .core import SgError, SignedGraph, _Record, _cap, _count, _pairs
 from .matrices import adjacency_matrix
 
 TOL = 1e-8  # verify_representation's tolerance for float vectors
@@ -102,8 +102,6 @@ def _dot(u, v):
 
 
 def _simple_adjacency(g: SignedGraph):
-    if any(e.kind is not _LINK for e in g.edges):
-        raise SgError("angle representations need a simple link graph")
     _pairs(g.n, [e.ends for e in g.edges], "an angle representation's graph")
     return adjacency_matrix(g)
 

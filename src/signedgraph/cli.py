@@ -352,9 +352,7 @@ def cmd_glinegraph(g, args):
         mult = [int(x) for x in args.m.split(",")]
     except ValueError:
         raise SgError(f"bad multiplicity list {args.m!r}") from None
-    # the base is every edge of g: a half edge goes in as a loop at its vertex, a
-    # loose edge as one at vertex 0, and generalized_line_graph refuses a loop
-    ends = [(e.ends * 2 + (0, 0))[:2] for e in g.edges]
+    ends = [e.ends for e in g.edges]
     # the petal graph is built from --m, not read: bound its edges before building it
     core._cap("input-edge", len(ends) + 2 * sum(mult), args.max_edges)
     src, lam = generalized_line_graph(g.n, ends, mult)

@@ -10,9 +10,10 @@ The public constructors (`Edge`, `SignedGraph`, `link`/`loop`/`half`/`loose`,
 are only for data derived from a validated graph, or from a line that `parse`
 has already checked: minors, switchings, relabellings and the parser itself.
 A derived graph shares the edges it leaves unchanged, as edges are immutable.
-`_potential` finds the frustrated links in its one BFS, on int-coded links.
-Hot loops compare kinds with the module constants `_LINK`, `_LOOP`, `_HALF`
-and `_LOOSE`, which read faster than `EdgeKind` members.
+Core has two link searches: `_switching_bfs`, on int-coded links, for
+potentials and spectrum blocks, and `_dfs`, for blocks, balancing and
+forests.  Hot loops compare kinds with the module constants `_LINK`, `_LOOP`,
+`_HALF` and `_LOOSE`, which read faster than `EdgeKind` members.
 
 Every record of the library is a `_Record`, and its fields are set only by
 the one constructor `_Record.__init__`, except in `Edge` and `SignedGraph`,
@@ -105,11 +106,14 @@ def _vertices(n, vs):
 
 
 def _pairs(n, edge_list, what):
-    """edge_list, a sequence of (u, v), as sorted pairs of `_vertices` with no loop or
-    pair twice, else SgError; a loop is named before its range.  An iterator
-    raises TypeError, as callers read edge_list again."""
-    pairs = [(u, v) if u < v else (v, u) for u, v in edge_list]
-    if any(u == v for u, v in pairs) or len(set(pairs)) < len(edge_list):
+    """edge_list, a sequence of (u, v), as sorted pairs of `_vertices` with no loop,
+    pair twice or item that is not a pair, else SgError; a loop is named before
+    its range.  An iterator raises TypeError, as callers read edge_list again."""
+    try:
+        pairs = [(u, v) if u < v else (v, u) for u, v in edge_list]
+    except ValueError:  # an item of fewer or more than two ends
+        pairs = None
+    if pairs is None or any(u == v for u, v in pairs) or len(set(pairs)) < len(edge_list):
         raise SgError(f"{what} must be simple")
     _vertices(n, (v for p in pairs for v in p))
     return pairs
@@ -550,36 +554,13 @@ def _link_adjacency(n, edges):
     return adj
 
 
-def _bfs_forest(adj):
-    """BFS forest of a link adjacency, one tree per component rooted at its
-    lowest vertex and grown in adjacency order.  Returns (parent, root,
-    depth): parent[v] is (link to the parent, parent vertex), None at a root."""
-    n = len(adj)
-    parent = [None] * n
-    root = [-1] * n
-    depth = [0] * n
-    for r in range(n):
-        if root[r] >= 0:
-            continue
-        root[r] = r
-        queue = [r]
-        for v in queue:
-            for e, w in adj[v]:
-                if root[w] < 0:
-                    root[w] = r
-                    parent[w] = (e, v)
-                    depth[w] = depth[v] + 1
-                    queue.append(w)
-    return parent, root, depth
-
-
 DFS_ROOT, DFS_TREE, DFS_BACK, DFS_DONE = range(4)
 
 
 def _dfs(adj):
-    """Depth-first search of a link adjacency with an explicit stack, so
-    that long paths need no deep recursion.  Roots are taken in vertex order
-    and neighbours in adjacency order.  Yields steps (step, v, e, w):
+    """Depth-first search of a link adjacency with an explicit stack (no deep
+    recursion on long paths), for blocks, balancing and forests.  Roots in
+    vertex order, neighbours in adjacency order.  Yields (step, v, e, w):
 
     - (DFS_ROOT, None, None, r): a new tree starts at r;
     - (DFS_TREE, v, e, w): link e discovers w as a child of v;
@@ -785,17 +766,20 @@ def circle_sign(g: SignedGraph, circle) -> int:
 
 
 def spanning_forest(g: SignedGraph):
-    """Maximal forest, chosen by BFS from the lowest vertex index, scanning
-    edges in id order."""
-    parent, _, _ = _bfs_forest(_link_adjacency(g.n, sorted(g.edges, key=lambda e: e.id)))
-    return frozenset(p[0].id for p in parent if p)
+    """Maximal forest of g's links: the tree links of `_dfs` over the links
+    taken in id order, so from the lowest vertex of each component."""
+    adj = _link_adjacency(g.n, sorted(g.edges, key=lambda e: e.id))
+    return frozenset(e.id for step, _, e, _ in _dfs(adj) if step == DFS_TREE)
 
 
 def fundamental_system(g: SignedGraph, t):
     """Map each non-tree ordinary edge e to the unique circle in t + e."""
     t = _ids(t)
     tree = g.restricted(t)
-    parent, root, depth = _bfs_forest(_link_adjacency(g.n, tree))
+    parent, root, depth = [None] * g.n, list(range(g.n)), [0] * g.n  # of t's `_dfs` forest
+    for step, v, e, w in _dfs(_link_adjacency(g.n, tree)):
+        if step == DFS_TREE:
+            parent[w], root[w], depth[w] = (e, v), root[v], depth[v] + 1
     if sum(p is not None for p in parent) != len(tree):  # a non-link or a circle
         raise SgError("t is not a forest")
     system = {}

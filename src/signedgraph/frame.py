@@ -39,23 +39,21 @@ class FrameCircuit(_Record):
         return frozenset(out)
 
 
-def _connecting_paths(g: SignedGraph, vs1, vs2, forbidden_edges):
-    """All minimal paths from vs1 to vs2, internally avoiding both vertex
-    sets, using edges outside forbidden_edges.  Yields (edge set, endpoints)."""
-    adj = _link_adjacency(g.n, (e for e in g.edges if e.id not in forbidden_edges))
+def _connecting_paths(adj, vs1, vs2):
+    """All minimal paths from vs1 to vs2 in the link adjacency adj, internally
+    avoiding both vertex sets, as edge sets.  A path stops at its first vertex
+    of vs2, so it uses no link with both ends in vs1 or in vs2."""
     paths = []
 
-    def dfs(v, used_edges, used_verts):
+    def dfs(v, path, used_verts):  # a link back along the path ends in used_verts
         for e, w in adj[v]:
-            if e.id in used_edges:
-                continue
             if w in vs2:
-                paths.append(frozenset(used_edges | {e.id}))
-            elif w not in used_verts and w not in vs1 and w not in vs2:
-                dfs(w, used_edges | {e.id}, used_verts | {w})
+                paths.append(path | {e.id})
+            elif w not in used_verts and w not in vs1:
+                dfs(w, path | {e.id}, used_verts | {w})
 
     for start in sorted(vs1):
-        dfs(start, set(), {start})
+        dfs(start, frozenset(), {start})
     return paths
 
 
@@ -77,15 +75,14 @@ def _frame_circuits(g: SignedGraph):
             found[fc.edge_set] = fc
 
     negs = _negative_circles(g.edges, circles)
-    for (c1, vs1), (c2, vs2) in combinations(negs, 2):
-        if c1 & c2:
-            continue
+    adj = _link_adjacency(g.n, g.edges)
+    for (c1, vs1), (c2, vs2) in combinations(negs, 2):  # circles sharing a link share 2 vertices
         shared = vs1 & vs2
         if len(shared) == 1:
             fc = FrameCircuit("tight_handcuff", (c1, c2))
             found.setdefault(fc.edge_set, fc)
         elif not shared:
-            for path in _connecting_paths(g, vs1, vs2, c1 | c2):
+            for path in _connecting_paths(adj, vs1, vs2):
                 fc = FrameCircuit("loose_handcuff", (c1, c2), path)
                 found.setdefault(fc.edge_set, fc)
 

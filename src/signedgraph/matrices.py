@@ -19,7 +19,7 @@ nullity.  This module depends only on `core`.
 from __future__ import annotations
 
 from itertools import compress
-from math import comb, inf, lcm, sqrt
+from math import comb, hypot, inf, lcm, sqrt
 from numbers import Rational, Real
 from operator import attrgetter
 from sys import float_info
@@ -112,7 +112,12 @@ def _rows(m, need, square=False, floats=False):
     if any(len(row) != width for row in rows):
         raise SgError(f"{need} needs a {'square' if square else 'rectangular'} matrix")
     limit = float_info.max if floats else inf
-    for x in set().union(*(row for row in rows if row.count(0) < width)):
+    nonzero = [row for row in rows if row.count(0) < width]
+    try:
+        values = set().union(*nonzero)
+    except TypeError:  # an unhashable entry, which the checks below refuse
+        values = [x for row in nonzero for x in row]
+    for x in values:
         if not isinstance(x, Real):
             raise TypeError(f"{need} needs real number entries, got {type(x).__name__}")
         if not abs(x) < limit:  # also NaN
@@ -227,9 +232,10 @@ def _jacobi(a):
     """The eigenvalues of the symmetric float rows a, which it overwrites, by
     threshold cyclic Jacobi: each sweep rotates away, in row order, every
     off-diagonal entry over a quarter of the largest, until none is over 1e-17
-    of the Frobenius norm.  A rotation (Rutishauser's stable form) of (p, q)
-    rewrites rows p and q, then their entries in the other rows: O(n)."""
-    tol = 1e-17 * sqrt(sum(x * x for row in a for x in row))
+    of the Frobenius norm, which hypot takes without overflow.  A rotation
+    (Rutishauser's stable form) of (p, q) rewrites rows p and q, then their
+    entries in the other rows: O(n)."""
+    tol = 1e-17 * hypot(*(x for row in a for x in row))
     while True:
         top = max((max(map(abs, row[i + 1:]), default=0) for i, row in enumerate(a)), default=0)
         if top <= tol:

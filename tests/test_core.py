@@ -210,6 +210,12 @@ LET_THROUGH = [
     ("color_pair_capacity, an end out of range", lambda: signedgraph.color_pair_capacity(2, [(0, 5)]),
      "vertex 5 out of range"),
     ("color_pair_capacity, a loop", lambda: signedgraph.color_pair_capacity(3, [(0, 0)]), "graph must be simple"),
+    ("color_pair_capacity, a one-end item", lambda: signedgraph.color_pair_capacity(3, [(0,)]),
+     "graph must be simple"),
+    ("catalog, a three-end item", lambda: signedgraph.catalog("all_positive", n=3, edge_list=[(0, 1, 2)]),
+     "catalog base graph must be simple"),
+    ("generalized_line_graph, an empty item", lambda: signedgraph.generalized_line_graph(2, [()], [0, 0]),
+     "base graph must be simple"),
 ]
 
 
@@ -221,7 +227,7 @@ def test_an_input_a_drifted_copy_let_through_raises_sg_error(case, call, message
 
 
 @pytest.mark.parametrize("name", ["rational_rank", "rational_nullity", "bareiss_determinant", "spectrum"])
-@pytest.mark.parametrize("entry", ["1", None, 1j])
+@pytest.mark.parametrize("entry", ["1", None, 1j, [1]])
 def test_a_matrix_entry_that_is_not_a_real_number_raises_type_error(name, entry):
     with pytest.raises(TypeError, match=f"needs real number entries, got {type(entry).__name__}$"):
         getattr(signedgraph, name)([[0, entry], [entry, 0]])
@@ -337,10 +343,14 @@ def test_spanning_forest_and_fundamental_system():
             spans.add(acc)
     for c in enumerate_circles(g):
         assert c in spans
-    # BFS from vertex 0 scanning ids in order queues 1 before 2 and reaches
-    # 3 by e; Kruskal by id would take a, and BFS in file order would take f
+    # DFS from vertex 0 scanning ids in order goes down b, a and f; BFS by id
+    # would take {b, d, e}, BFS in file order {b, d, f} and Kruskal by id
+    # {a, b, e}, so this pins both the search and the id order
     g = out_of_order()
-    assert spanning_forest(g) == {"b", "d", "e"}
+    assert spanning_forest(g) == {"a", "b", "f"}
+    assert fundamental_system(g, {"a", "b", "f"}) == {
+        "d": {"a", "b", "d"}, "e": {"a", "e", "f"},
+    }
     assert fundamental_system(g, {"b", "d", "e"}) == {
         "f": {"b", "d", "e", "f"}, "a": {"a", "b", "d"},
     }

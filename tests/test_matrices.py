@@ -314,6 +314,15 @@ def test_spectrum_splits_the_matrix_into_blocks():
     assert abs(ev[4] - (1 + 17 ** 0.5) / 2) < 1e-14
 
 
+def test_spectrum_of_entries_whose_squares_overflow_a_float():
+    # the Frobenius norm of 1e200 entries is finite, though their squares are not:
+    # taken as sqrt(sum(x * x)) it was inf, and the block came back as its diagonal
+    golden = (1 + 5 ** 0.5) / 2
+    for x in (1e200, 10**200):
+        ev = spectrum([[x, x], [x, 0]])
+        assert abs(ev[0] / 1e200 + golden - 1) < 1e-14 and abs(ev[1] / 1e200 - golden) < 1e-14
+
+
 def test_spectrum_of_a_65_vertex_block_answers_within_0_3_s():
     # a tree on 65 vertices: the largest block under sgtool's 64-edge cap
     rng = seeded(30)

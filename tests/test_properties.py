@@ -6,7 +6,8 @@ constructors build, switching changes no switching invariant, relabelling,
 renaming and switching together change no invariant of switching
 isomorphism, switching equivalence is the search over all switchings,
 contraction takes rank(S) off every rank, every reading of the edge vector
-and of the signed circles agrees with its definition, closure obeys the
+and of the signed circles agrees with its definition, a spanning forest
+has n - c links and each fundamental circle holds its edge, closure obeys the
 closure axioms, each walk over edge subsets on the undoable union-find
 equals its per-subset recomputation, and the spectrum prints each integer
 eigenvalue exactly, as often as the nullity at it says, and keeps the trace
@@ -39,6 +40,7 @@ from signedgraph import (
     classify_balancing_edges,
     closed_sets,
     closure,
+    components,
     contract_edge,
     contract_set,
     count_proper,
@@ -50,6 +52,7 @@ from signedgraph import (
     enumerate_acyclic,
     enumerate_circles,
     enumerate_frame_circuits,
+    fundamental_system,
     half,
     incidence_matrix,
     is_acyclic,
@@ -69,6 +72,7 @@ from signedgraph import (
     region_count,
     region_witness_point,
     serialize,
+    spanning_forest,
     spectrum,
     switch,
     switch_set,
@@ -425,6 +429,18 @@ def test_signed_circles_carry_their_sign_and_vertex_set(g):
     for c, verts, sign in circles:
         assert sign == edge_set_sign(g, c)
         assert verts == {v for eid in c for v in g.edge(eid).ends}
+
+
+@PROPERTY
+@given(graphs(n_max=6, m_max=10))
+def test_a_spanning_forest_spans_and_its_fundamental_circles_contain_their_edges(g):
+    links = {e.id for e in g.edges if e.kind is EdgeKind.LINK}
+    t = spanning_forest(g)
+    assert t <= links and len(t) == g.n - len(components(g, links))
+    system = fundamental_system(g, t)
+    assert system.keys() == {e.id for e in g.edges if e.is_ordinary} - t
+    for eid, circle in system.items():
+        assert eid in circle and circle in enumerate_circles(g, t | {eid})
 
 
 def circle_containment_counts(g):
