@@ -11,6 +11,8 @@ from signedgraph import (
     construct_gramian,
     edge_vector,
     link,
+    loop,
+    loose,
     membership_in_root_system,
     normalize,
     plus_minus_kn,
@@ -176,8 +178,10 @@ def test_construct_gramian_rejects_nu_beyond_float_range():
 
 
 def test_construct_rejects_non_simple(sigma4):
-    with pytest.raises(SgError):
-        construct_gramian(sigma4, 2)
+    # sigma4 has a digon and a half edge; a loop or loose edge alone is as bad
+    for g in (sigma4, SignedGraph(1, [loop("l", 0, -1)]), SignedGraph(0, [loose("z")])):
+        with pytest.raises(SgError, match="^an angle representation's graph must be simple$"):
+            construct_gramian(g, 2)
 
 
 def test_normalize():

@@ -300,7 +300,7 @@ def test_glinegraph_refuses_a_base_with_a_loop_half_edge_or_loose_edge(tmp_path,
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err == "error: base graph must be simple\n", name
     cases = [(f"sg 1\nn 2\nedge a 1 2 +\n{line}\n", "1,0") for line in ("edge l 1 1 -", "half h 1", "loose z")]
-    # a loose edge goes in as an item with no ends, refused where there is no vertex at all
+    # a loose edge goes in as an item with no ends: not a pair, even where there is no vertex
     cases.append(("sg 1\nn 0\nloose z\n", "0"))
     path = tmp_path / "base.sg"
     for text, m in cases:
