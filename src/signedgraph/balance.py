@@ -5,7 +5,8 @@ links gives the switching potential zeta that makes the tree all positive
 (`core._potential`), and a component is balanced iff every link and loop is
 positive after switching by zeta and it carries no half edge.  The same
 potential gives the Harary bipartition and switching equivalence; the
-exponential circle-sign check lives only in the test suite.
+exponential circle-sign check lives only in the test suite.  A switching is
+`core._relabel` on the identity map: it keeps each edge whose sign stays.
 
 Balancing edges and vertices (Harary 1953; Zaslavsky, "Signed graphs", 1982)
 come from one DFS per component instead (`_frustration_counts`), which takes
@@ -40,14 +41,13 @@ from .core import (
     _LOOP,
     _LOOSE,
     _dfs,
-    _edge,
-    _graph,
     _groups,
     _link_adjacency,
     _cap,
     _negative_circles,
     _potential,
     _Record,
+    _relabel,
     _signed_circles,
     _switching_bfs,
     _vertices,
@@ -102,24 +102,13 @@ def switch(g: SignedGraph, zeta) -> SignedGraph:
         if val not in (1, -1):
             raise SgError(f"switching value at vertex {v} must be +1 or -1")
         values.append(1 if val == 1 else -1)  # an int, as edge signs are
-    return _switched(g, values)
-
-
-def _switched(g: SignedGraph, zeta) -> SignedGraph:
-    """g switched by zeta, a list of +1 and -1 indexed by vertex."""
-    out = g._by_id.copy()
-    for e in g.edges:
-        if e.kind is _LINK:
-            u, v = e.ends
-            if zeta[u] != zeta[v]:
-                out[e.id] = _edge(e.id, _LINK, e.ends, -e.sign)
-    return _graph(g.n, out)
+    return _relabel(g.n, g.edges, range(g.n), values)
 
 
 def switch_set(g: SignedGraph, x) -> SignedGraph:
     """Switch the vertex set x (negate signs across the cut E(x, x^c))."""
     x = _vertices(g.n, x)
-    return _switched(g, [-1 if v in x else 1 for v in range(g.n)])
+    return _relabel(g.n, g.edges, range(g.n), [-1 if v in x else 1 for v in range(g.n)])
 
 
 def switching_equivalent(g1: SignedGraph, g2: SignedGraph):

@@ -240,6 +240,7 @@ def make_signed_expansion(n, edge_list) -> SignedGraph:
 
 def complete_graph_edges(n):
     _cap("input-vertex", n)
+    _cap("complete-graph", max(n, 0) * (n - 1) // 2)  # before any pair; a negative n is refused below
     return [(i, j) for i in range(n) for j in range(i + 1, n)]
 
 

@@ -8,8 +8,9 @@ function, so concurrent use is safe.
 The public constructors (`Edge`, `SignedGraph`, `link`/`loop`/`half`/`loose`,
 `with_edges`) validate everything.  `_edge` and `_graph` skip the checks and
 are only for data derived from a validated graph, or from a line that `parse`
-has already checked: minors, switchings, relabellings and the parser itself.
-A derived graph shares the edges it leaves unchanged, as edges are immutable.
+has already checked.  Only core calls `_edge`: the parser, and `_relabel` for
+minors and switchings alike.  A derived graph shares the edges whose ends and
+sign it leaves unchanged, as edges are immutable.
 Core has two link searches: `_switching_bfs`, on int-coded links, for
 potentials and spectrum blocks, and `_dfs`, for blocks, balancing and
 forests.  Hot loops compare kinds with the module constants `_LINK`, `_LOOP`,
@@ -65,6 +66,7 @@ CAPS = {
     "root-system": (32, "dimension"),  # angle.root_system
     "input-edge": (64, "edges"),  # sgtool's input and catalog --n, unless --max-edges sets it
     "input-vertex": (10**6, "vertices"),  # parse and SignedGraph
+    "complete-graph": (1 << 15, "pairs"),  # coloring.complete_graph_edges, so plus_minus_kn(_full)
 }
 _id_ok = re.compile(r"[^\s#,]+").fullmatch
 _BAD_ID = "bad edge id {!r}: need a nonempty string without whitespace, '#', ','"
@@ -673,10 +675,10 @@ def _groups(root):
 
 def _relabel(n, edges, vmap, zeta):
     """The graph of order n on edges of a validated graph whose ends move by
-    vmap (old vertex -> new vertex, or None to drop that end), switched by
-    zeta (old vertex -> +1 or -1).  A link whose ends meet becomes a loop; an
-    ordinary or half edge that loses ends becomes a half or loose edge, and
-    a loose edge is kept as it is."""
+    vmap (old vertex -> new vertex, or None to drop that end; the identity for
+    a switching), switched by zeta (old vertex -> +1 or -1).  A link whose ends
+    meet becomes a loop, an edge that loses ends a half or loose edge, and an
+    edge whose ends and sign stay is kept itself, not copied."""
     out = {}
     for e in edges:
         k = e.kind
@@ -686,9 +688,9 @@ def _relabel(n, edges, vmap, zeta):
             if a is None or b is None:
                 ends = tuple(x for x in (a, b) if x is not None)
                 e = _edge(e.id, _HALF if ends else _LOOSE, ends)
-            else:
+            elif a != u or b != v or zeta[u] != zeta[v]:
                 e = _edge(e.id, _LINK if a != b else _LOOP, (a, b), zeta[u] * e.sign * zeta[v])
-        elif k is not _LOOSE:  # a loop or half edge, whose sign no switching changes
+        elif k is not _LOOSE and vmap[e.ends[0]] != e.ends[0]:  # a moved loop or half edge; no switching signs it
             a = vmap[e.ends[0]]
             e = _edge(e.id, _LOOSE, ()) if a is None else _edge(e.id, k, (a,) * len(e.ends), e.sign)
         out[e.id] = e

@@ -17,7 +17,8 @@ from itertools import combinations, permutations, product
 from operator import attrgetter
 
 from .core import (
-    CAPS, SignedGraph, _LOOSE, _UndoableUnionFind, _cap, _frame_edge, _ids, edge_set_sign, enumerate_circles,
+    CAPS, SignedGraph, _LOOSE, _UndoableUnionFind, _cap, _edge_vector, _frame_edge, _ids, edge_set_sign,
+    enumerate_circles,
 )
 from .balance import is_balanced
 from .coloring import _constraints, _cap_depth, _delcon, _proper_colorations, make_signed
@@ -149,25 +150,13 @@ def _signed_permutation_points(n):
 
 
 def count_regions_by_sign_vectors(g: SignedGraph) -> int:
-    """Exact region count: distinct sign vectors of all signed-permutation
-    points.  Oracle for (-1)^n p(-1) in orientation.region_count."""
+    """Exact region count: distinct sign vectors, the signs of x . x(e), of
+    all signed-permutation points x.  Oracle for (-1)^n p(-1) in orientation.region_count."""
     points = _signed_permutation_points(g.n)
-    from .orientation import arrangement
-
-    hps = arrangement(g)
-    if any(h.kind == "degenerate" for h in hps):
+    vecs = [_edge_vector(e) for e in g.edges]
+    if not all(vecs):  # a zero edge vector: every point lies on its hyperplane
         return 0
-    seen = set()
-    for x in points:
-        vec = []
-        for h in hps:
-            if h.kind == "difference":
-                val = x[h.j] - h.sign * x[h.i]
-            else:
-                val = x[h.i]
-            vec.append(1 if val > 0 else -1)
-        seen.add(tuple(vec))
-    return len(seen)
+    return len({tuple(sum(x[v] * c for v, c in vec) > 0 for vec in vecs) for x in points})
 
 
 def region_witness_point(g: SignedGraph, b):

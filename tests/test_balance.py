@@ -18,12 +18,13 @@ from signedgraph import (
     loop,
     loose,
     min_balancing_set,
+    parse,
     switch,
     switch_set,
     switching_equivalent,
 )
 from signedgraph.balance import _frustration_counts
-from conftest import balance_oracle, delete_vertices, random_graph, seeded
+from conftest import balance_oracle, delete_vertices, fixture_path, random_graph, seeded
 
 
 def neg_triangle(offset=0, n=3):
@@ -90,6 +91,24 @@ def test_switch_rejects_a_switching_function_without_a_value_at_a_vertex():
     with pytest.raises(SgError, match="vertex '1' out of range"):
         switch_set(g, ["1"])
     assert switch(g, lambda v: -1 if v == 1 else 1) == switch_set(g, [1])
+
+
+def test_a_switching_shares_every_edge_whose_sign_stays():
+    # x = {2, 6, 7} in mixed7's 1-based labels: the loops p and l, the half
+    # edge h, the loose edge z and the link g inside x keep their sign
+    with open(fixture_path("mixed7.sg"), "rb") as fh:
+        g = parse(fh.read())
+    x = {1, 5, 6}
+    for h in (switch_set(g, x), switch(g, [-1 if v in x else 1 for v in range(g.n)])):
+        assert [e.id for e in h.edges] == [e.id for e in g.edges]
+        flipped = set()
+        for e, f in zip(g.edges, h.edges):
+            if e.kind is EdgeKind.LINK and (e.ends[0] in x) != (e.ends[1] in x):
+                flipped.add(e.id)
+                assert f is not e and (f.kind, f.ends, f.sign) == (e.kind, e.ends, -e.sign)
+            else:
+                assert f is e, e.id
+        assert flipped == {"a", "b", "f", "i"}
 
 
 def test_switching_equivalence_roundtrip(sigma4):

@@ -247,6 +247,10 @@ CASES = {
         ("input-edge cap exceeded (edges 64 > 63)",
          exits_1_without_input("catalog", "--family", "pmknfull", "--n", "8", "--max-edges", "63")),
     ],
+    "complete-graph": [  # C(257, 2) = 32896 vertex pairs
+        ("complete-graph cap exceeded (pairs 32896 > 32768)", raised(plus_minus_kn, 257)),
+        ("complete-graph cap exceeded (pairs 32896 > 32768)", raised(plus_minus_kn_full, 257)),
+    ],
     "input-vertex": [
         ("input-vertex cap exceeded (vertices 1000001 > 1000000)", exits_1("balance", "sg 1\nn 1000001\n")),
         ("input-vertex cap exceeded (vertices 1000001 > 1000000)", raised(SignedGraph, 10**6 + 1, [])),
@@ -283,6 +287,7 @@ def test_inputs_at_the_caps_pass(tmp_path):
     for family, n in (("pmkn", 8), ("pmknfull", 8)):  # 56 and 64 edges
         assert sgtool(["catalog", "--family", family, "--n", str(n)]).returncode == 0
     assert switching_isomorphic(complete(7), complete(7, [(0, 1)])) is None  # 25,130 (v, w)
+    assert len(plus_minus_kn_full(256).edges) == 256 * 256  # C(256, 2) = 32,640 pairs
     path.write_text(K4)
     r = sgtool(["glinegraph", str(path), "--m", "8,7,7,7"])  # 6 + 2 * 29 = 64 petal graph edges
     assert r.returncode == 0 and r.stdout.endswith("identity: true\n")
@@ -312,11 +317,15 @@ def test_routines_that_used_to_run_unbounded_stop_at_once():
 @pytest.mark.parametrize("call, message", [
     (lambda: plus_minus_kn(10**11), "input-vertex cap exceeded (vertices 100000000000 > 1000000)"),
     (lambda: plus_minus_kn_full(10**11), "input-vertex cap exceeded (vertices 100000000000 > 1000000)"),
+    (lambda: plus_minus_kn(10**6), "complete-graph cap exceeded (pairs 499999500000 > 32768)"),
+    (lambda: plus_minus_kn_full(10**6), "complete-graph cap exceeded (pairs 499999500000 > 32768)"),
+    (lambda: plus_minus_kn(-300), "order n must be an int >= 0, got -300"),  # not as C(-300, 2) pairs
     (lambda: color_pair_capacity(10**11, []), "matching cap exceeded (vertices 100000000000 > 20)"),
     (lambda: generalized_line_graph(2, [(0, 1)], [10**11, 0]),
      "input-vertex cap exceeded (vertices 100000000002 > 1000000)"),
     (lambda: root_system(None, 3), "unknown root system None"),
-], ids=["plus_minus_kn", "plus_minus_kn_full", "color_pair_capacity", "generalized_line_graph", "root_system"])
+], ids=["plus_minus_kn", "plus_minus_kn_full", "plus_minus_kn_1e6", "plus_minus_kn_full_1e6", "plus_minus_kn_negative",
+        "color_pair_capacity", "generalized_line_graph", "root_system"])
 def test_an_order_is_checked_before_anything_of_that_size_is_built(call, message):
     start = time.perf_counter()
     with pytest.raises(SgError) as exc:

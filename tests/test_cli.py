@@ -284,6 +284,14 @@ def test_a_closed_stdout_exits_1_without_a_traceback():
     assert r.stderr == ""
 
 
+def test_switch_names_a_bad_vertex_token_as_typed(capsys):
+    # --vertices takes 1-based text tokens; sigma4 has 4 vertices
+    for token, message in (("0", "vertex 0 out of range"), ("5", "vertex 5 out of range"), ("x", "bad vertex 'x'")):
+        assert run(["switch", SIGMA4, "--vertices", token]) == 1, token
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == f"error: {message}\n", token
+
+
 def test_glinegraph_refuses_a_base_with_parallel_links(capsys):
     # sigma4's links 1-4 + and 1-4 - are a digon: the generalized line graph
     # of Cameron, Goethals, Seidel and Shult is defined on a simple base

@@ -10,10 +10,11 @@ from signedgraph import (
     link,
     loop,
     loose,
+    parse,
     rank,
     switching_equivalent,
 )
-from conftest import random_graph, seeded
+from conftest import fixture_path, random_graph, seeded
 
 
 def test_delete(sigma4):
@@ -169,3 +170,19 @@ def test_contract_edge_is_contract_set_of_one_edge():
         (EdgeKind.LINK, 1), (EdgeKind.LINK, -1), (EdgeKind.LOOP, 1),
         (EdgeKind.LOOP, -1), (EdgeKind.HALF, None), (EdgeKind.LOOSE, None),
     }
+
+
+def test_contract_set_shares_each_edge_whose_ends_and_sign_stay():
+    # contracting mixed7's positive link c (3-4) merges vertex 4 into 3: the
+    # links a and b, the loop p and the loose edge z keep their ends and sign
+    with open(fixture_path("mixed7.sg"), "rb") as fh:
+        g = parse(fh.read())
+    h, _ = contract_set(g, ["c"])
+    assert {e.id for e in h.edges if e is g.edge(e.id)} == {"a", "b", "p", "z"}
+    rng = seeded(35)
+    for _ in range(200):
+        g = random_graph(rng, n_max=6, m_max=9)
+        h, _ = contract_set(g, sorted(g.edge_ids)[::3])
+        for f in h.edges:
+            e = g.edge(f.id)
+            assert (f is e) == (f == e), f.id

@@ -186,3 +186,17 @@ def test_the_graph_matrices_have_one_dense_builder(module):
     # the adjacency, degree, incidence and Laplacian matrices, and the line
     # graph's 2I - H^T H, are filled by matrices._dense, the one dense-matrix cap site
     assert _dense_builder_copies(module) == []
+
+
+def _unchecked_edges(module):
+    """Where module calls core's unchecked edge constructor `_edge`."""
+    with open(SOURCES[module], encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    return [f"line {node.lineno}: an _edge call" for node in ast.walk(tree) if isinstance(node, ast.Call)
+            and getattr(node.func, "id", getattr(node.func, "attr", None)) == "_edge"]
+
+
+@pytest.mark.parametrize("module", [m for m in ("__init__",) + MODULES if m != "core"])
+def test_only_core_builds_an_edge_without_checks(module):
+    # the parser and _relabel (minors and switchings) are the only callers of _edge
+    assert _unchecked_edges(module) == []
